@@ -1,24 +1,17 @@
-"""Feed coded results to the peeling decoder and watch the cascade.
+"""Feed coded messages to the peeling decoder and watch the cascade.
 
-Degree-1 messages recover a block outright; higher-degree sums wait in a
-pending list until all but one member is known. Recovering a block can
-unlock pending equations recursively.
+A message is the sum of its member blocks' products, so what it can reveal
+depends only on which members are already known. The decoder therefore
+works on block indices alone: degree-1 messages recover a block outright;
+higher-degree sums wait in a pending list until all but one member is known,
+and recovering a block can unlock pending messages recursively.
 """
 
 import numpy as np
 
-from codedgd import CodedResult, CodewordSpec, RecoveryState
+from codedgd import RecoveryState
 
 K = 8
-rng = np.random.default_rng(7)
-blocks = rng.standard_normal((K, 3))   # pretend partial gradients
-
-
-def coded(members, t):
-    value = sum(blocks[k] for k in members)
-    return CodedResult(CodewordSpec(0, 0, tuple(members)), value, t)
-
-
 stream = [
     ((2, 5), 0.10),     # pending: two unknowns
     ((0,), 0.15),       # direct recovery
@@ -31,15 +24,22 @@ stream = [
 
 state = RecoveryState(K, tolerance=0.25)   # stop at ceil(0.75 * 8) = 6 blocks
 for members, t in stream:
-    newly = state.ingest(coded(members, t))
+    newly = state.ingest(members)
     print("t=%.2f ingest %-9s -> recovered %s  (total %d, pending %d)"
           % (t, members, newly, len(state.recovered), len(state.pending)))
     if state.is_complete():
         print("target reached at t=%.2f" % t)
         break
 
-r, vectors = state.finalize()
+r, recovered = state.finalize()
 print("recovery indicator:", r)
-for k, v in sorted(vectors.items()):
-    assert np.allclose(v, blocks[k]), "decoded value must equal the true block"
-print("all decoded values match the true blocks")
+assert recovered == {0, 1, 2, 3, 4, 5}
+
+# Why indices suffice: replaying the same cancellations on values decodes
+# every recovered block exactly, e.g. block 5 = (2,5) - ((0,2) - (0,)).
+rng = np.random.default_rng(7)
+blocks = rng.standard_normal((K, 3))   # pretend partial gradients
+value = {members: blocks[list(members)].sum(axis=0) for members, _ in stream}
+block5 = value[(2, 5)] - (value[(0, 2)] - value[(0,)])
+assert np.allclose(block5, blocks[5])
+print("block 5 decoded from values matches the true block")

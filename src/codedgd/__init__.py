@@ -5,19 +5,18 @@ from .ages import AgeTable
 from .codec import (AssignmentMatrix, CodewordSpec, OrderPolicy, apply_order,
                     build_rcs, encode, from_shifts, select_adaptive_shift,
                     shift_for_iteration)
-from .decoder import CodedResult, RecoveryState, recovery_target
+from .decoder import RecoveryState, recovery_target
 from .experiments import (ExperimentConfig, PolicySpec, SweepResult,
                           emit_plotdata, preset_config, run_experiment,
                           table1_grid)
 from .latency import (LatencyParams, MarkovStragglerModel, StragglerProfile,
                       completion_cdf, effective_params,
                       sample_completion_times, step_markov)
-from .problem import (BlockPartition, ConfigurationError, RegressionProblem,
-                      export_problem, full_gradient, generate_problem,
-                      import_problem, partition_blocks)
+from .problem import (ConfigurationError, RegressionProblem, export_problem,
+                      full_gradient, generate_problem, import_problem)
 from .trainer import (IterationRecord, TrainConfig, TrainResult,
                       apply_partial_update, evaluate, run_plain_gd,
-                      run_training)
+                      run_training, simulate_recovery)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

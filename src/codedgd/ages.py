@@ -35,11 +35,6 @@ class AgeTable:
         self.current = np.where(r == 1, 1, self.current + 1)
         return self
 
-    def average_age(self, k):
-        if not self._history:
-            raise ValueError("no iterations recorded yet")
-        return float(self.history[:, k].mean())
-
     def average_ages(self):
         return self.history.mean(axis=0)
 
@@ -47,18 +42,6 @@ class AgeTable:
         """Fraction of (block, iteration) pairs whose age exceeds the threshold."""
         th = self.a_th if a_th is None else a_th
         return float((self.history > th).mean())
-
-
-def update_ages(table, r):
-    return table.update(r)
-
-
-def average_age(table, k):
-    return table.average_age(k)
-
-
-def objective(table, a_th=None):
-    return table.objective(a_th)
 
 
 def write_ages_csv(table, path):

@@ -1,27 +1,20 @@
-"""Streaming peeling decoder with a partial-recovery stopping rule.
+"""Streaming peeling decoder over block indices, with a partial-recovery stop.
 
-Results arrive one by one in completion-time order. Known block products
-are subtracted from each incoming sum; anything that reduces to a single
-unknown is recovered and the substitution cascades through the still
-unresolved equations. No Gaussian elimination happens here; the decoder is
-pure successive cancellation.
+A coded message is the sum of its member blocks' products, so which blocks
+it can reveal depends only on which members are already known, never on the
+values. The decoder therefore tracks indices alone: a message whose
+unresolved members reduce to one recovers that block, and each recovery
+cascades through the still pending messages. This is successive
+cancellation as in LT-code peeling; no Gaussian elimination happens here.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class ProtocolError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CodedResult:
-    spec: "CodewordSpec"
-    value: np.ndarray
-    completion_time: float
 
 
 def recovery_target(n_blocks, tolerance):
@@ -38,39 +31,28 @@ class RecoveryState:
         self.n_blocks = n_blocks
         self.tolerance = tolerance
         self.target = recovery_target(n_blocks, tolerance)
-        self.recovered = {}            # block index -> decoded vector
-        self.pending = []              # [set of unresolved members, residual vector]
-        self.log = []                  # line-oriented trace for regression dumps
+        self.recovered = set()
+        self.pending = []              # sets of unresolved member indices
         self.n_ingested = 0
 
     def is_complete(self):
         return len(self.recovered) >= self.target
 
-    def ingest(self, result):
-        """Absorb one coded result; returns the block indices it unlocked."""
-        members = set(result.spec.members)
+    def ingest(self, members):
+        """Absorb one message's block indices; returns the blocks it unlocked."""
+        members = set(members)
         if any(not 0 <= k < self.n_blocks for k in members):
             raise ProtocolError("member index outside [0, %d)" % self.n_blocks)
         self.n_ingested += 1
-        residual = np.array(result.value, dtype=np.float64)
-        unresolved = set()
-        for k in members:
-            if k in self.recovered:
-                residual = residual - self.recovered[k]
-            else:
-                unresolved.add(k)
+        unresolved = members - self.recovered
         if not unresolved:
-            self.log.append("ingest %s -> duplicate, discarded" % sorted(members))
             return []
         if len(unresolved) > 1:
-            self.pending.append([unresolved, residual])
-            self.log.append("ingest %s -> pending %s" % (sorted(members), sorted(unresolved)))
+            self.pending.append(unresolved)
             return []
-        newly = [unresolved.pop()]
-        self.recovered[newly[0]] = residual
-        self.log.append("ingest %s -> recovered %d" % (sorted(members), newly[0]))
-        newly.extend(self._cascade(newly[0]))
-        return newly
+        k = unresolved.pop()
+        self.recovered.add(k)
+        return [k] + self._cascade(k)
 
     def _cascade(self, start):
         queue = [start]
@@ -78,48 +60,21 @@ class RecoveryState:
         while queue:
             k = queue.pop()
             still_pending = []
-            for eq in self.pending:
-                unresolved, residual = eq
-                if k in unresolved:
-                    unresolved.discard(k)
-                    residual = residual - self.recovered[k]
-                    eq[1] = residual
-                if len(unresolved) == 1:
+            for unresolved in self.pending:
+                unresolved.discard(k)
+                if len(unresolved) > 1:
+                    still_pending.append(unresolved)
+                elif unresolved:
                     j = unresolved.pop()
                     if j not in self.recovered:
-                        self.recovered[j] = residual
-                        self.log.append("peel -> recovered %d" % j)
+                        self.recovered.add(j)
                         unlocked.append(j)
                         queue.append(j)
-                elif len(unresolved) == 0:
-                    self.log.append("peel -> equation exhausted, discarded")
-                else:
-                    still_pending.append(eq)
             self.pending = still_pending
         return unlocked
 
     def finalize(self):
-        """Recovery vector r (1 where the block product is known) and the vectors."""
+        """Recovery vector r (1 where the block product is known) and the recovered set."""
         r = np.zeros(self.n_blocks, dtype=np.int8)
-        for k in self.recovered:
-            r[k] = 1
-        return r, dict(self.recovered)
-
-    def dump_equations(self):
-        return "\n".join(self.log)
-
-
-# Free-function spellings used by callers that treat the state as a value.
-
-def ingest(state, result):
-    return state.ingest(result)
-
-
-def is_complete(state, tolerance=None):
-    if tolerance is None:
-        return state.is_complete()
-    return len(state.recovered) >= recovery_target(state.n_blocks, tolerance)
-
-
-def finalize(state):
-    return state.finalize()
+        r[list(self.recovered)] = 1
+        return r, set(self.recovered)

@@ -5,7 +5,6 @@ problem. Per-run seeds are derived from the master seed via SeedSequence
 spawn keys, so reruns with the same config are byte-identical.
 """
 
-import dataclasses
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -56,6 +55,12 @@ class ExperimentConfig:
     replicas: int = 10
     seed: int = 1
     output_dir: str = ""
+
+    def __post_init__(self):
+        if self.replicas < 1:
+            raise ConfigurationError("replicas must be >= 1, got %d" % self.replicas)
+        if self.n_blocks < 1 or self.d % self.n_blocks != 0:
+            raise ConfigurationError("n_blocks=%d does not divide d=%d" % (self.n_blocks, self.d))
 
     def straggler_profile(self):
         slow = frozenset(range(self.n_stragglers))
@@ -270,16 +275,3 @@ def table1_grid(base_config, q_values, a_th=2, replicas=None, n_jobs=1, out_path
             for q in q_values:
                 fh.write(",".join(["%g" % q] + ["%.6g" % grid[q][n] for n in names]) + "\n")
     return grid
-
-
-def config_to_text(config):
-    lines = []
-    for f in dataclasses.fields(config):
-        v = getattr(config, f.name)
-        if f.name == "policies":
-            v = ",".join(p.name if p.kind != "adaptive" else "adaptive:%d" % p.a_th
-                         for p in v)
-        elif f.name == "degrees":
-            v = ",".join(map(str, v))
-        lines.append("%s = %s" % (f.name, v))
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Synthetic least-squares instance, exact gradient, and block partition."""
+"""Synthetic least-squares instance and its exact gradient."""
 
 import json
 import os
@@ -59,27 +59,6 @@ def full_gradient(problem, theta):
     if theta.shape != (problem.d,):
         raise ValueError("theta has shape %s, expected (%d,)" % (theta.shape, problem.d))
     return problem.W @ theta - problem.b
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Row-wise split of W into K equal blocks of shape (d/K, d)."""
-
-    n_blocks: int
-    block_rows: int
-    blocks: tuple
-
-    def block(self, k):
-        return self.blocks[k]
-
-
-def partition_blocks(problem, n_blocks):
-    d = problem.d
-    if d % n_blocks != 0:
-        raise ConfigurationError("n_blocks=%d does not divide d=%d" % (n_blocks, d))
-    rows = d // n_blocks
-    blocks = tuple(problem.W[k * rows:(k + 1) * rows, :] for k in range(n_blocks))
-    return BlockPartition(n_blocks, rows, blocks)
 
 
 # Optional dump of the generated instance for cross-implementation checks.

@@ -1,9 +1,12 @@
-"""Parameter-server training loop over simulated coded workers.
+"""Parameter-server training over simulated coded workers, in two parts.
 
-Each iteration: pick the vertical shift for the current ordering policy,
-encode, draw completion times, stream results into the peeling decoder in
-global time order until the tolerance target is met, update the recovered
-coordinate blocks of theta, and advance the age table.
+The recovery process (`simulate_recovery`) never reads the model. Each
+iteration it picks the vertical shift for the ordering policy, encodes, draws
+completion times, streams message indices into the peeling decoder in global
+time order until the tolerance target is met, and advances the age table.
+The optimizer (`run_training`) is then masked gradient descent driven by
+each iteration's recovery vector r: theta <- theta - eta * r (.) (W theta - b),
+with r repeated over the d/K coordinates of each block.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +15,8 @@ import numpy as np
 
 from . import codec, latency
 from .ages import AgeTable
-from .decoder import CodedResult, RecoveryState
+from .decoder import RecoveryState, recovery_target
+from .problem import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,9 @@ class TrainConfig:
             raise ValueError("q must be in [0, 1)")
         if self.eta <= 0 or self.n_iterations < 1:
             raise ValueError("need eta > 0 and n_iterations >= 1")
+        if self.memory > self.n_blocks:
+            raise ConfigurationError("degrees sum to %d, more than n_blocks %d"
+                                     % (self.memory, self.n_blocks))
 
     @property
     def memory(self):
@@ -78,15 +85,9 @@ def evaluate(theta, problem):
     return float(train), float(test)
 
 
-def apply_partial_update(theta, recovered, r, b, eta):
+def apply_partial_update(theta, r, problem, eta):
     """Gradient step on recovered blocks only; unrecovered coordinates freeze."""
-    n_blocks = len(r)
-    rows = theta.shape[0] // n_blocks
-    out = theta.copy().reshape(n_blocks, rows)
-    b_blocks = b.reshape(n_blocks, rows)
-    for k, vec in recovered.items():
-        out[k] -= eta * (vec - b_blocks[k])
-    return out.reshape(-1)
+    return theta - eta * np.repeat(r, problem.d // len(r)) * (problem.W @ theta - problem.b)
 
 
 def run_plain_gd(problem, eta, n_iterations, record_every=1):
@@ -102,67 +103,72 @@ def run_plain_gd(problem, eta, n_iterations, record_every=1):
     return theta, trajectory, losses
 
 
-def run_training(problem, config, assignment=None):
-    """Simulate the full training run described by `config`."""
+def simulate_recovery(config, assignment, rng):
+    """Run the recovery process alone; it never reads the model.
+
+    Returns one (r, shift, wall_time, n_ingested) tuple per iteration and the
+    AgeTable. Latency draws come from `rng`, in the order run_training uses.
+    """
     k, n_workers = config.n_blocks, config.n_workers
     n_messages = len(config.degrees)
-    ss = np.random.SeedSequence(config.seed)
-    rcs_seed, latency_seed = ss.spawn(2)
-    if assignment is None:
-        assignment = codec.build_rcs(k, n_workers, config.memory,
-                                     np.random.default_rng(rcs_seed))
-    rng = np.random.default_rng(latency_seed)
-
-    rows = problem.d // k
-    theta = np.zeros(problem.d)
     ages = AgeTable(k, a_th=config.age_threshold or config.policy.a_th or 1)
     markov = config.profile.initial_markov()
     adaptive_shift = 0
-    records = []
-    exhausted_iterations = []
+    steps = []
 
     for t in range(1, config.n_iterations + 1):
         if markov is not None:
             markov = latency.step_markov(markov, rng)
         shift = codec.shift_for_iteration(config.policy, t, config.memory, adaptive_shift)
-        ordered = codec.apply_order(assignment, shift)
-        specs = codec.encode(ordered, config.degrees)
-
-        block_products = (problem.W @ theta).reshape(k, rows)
+        specs = codec.encode(codec.apply_order(assignment, shift), config.degrees)
 
         arrivals = []
         for i in range(n_workers):
             params = latency.effective_params(config.profile, i, n_messages, markov)
             times = latency.sample_completion_times(params, rng)
             for ell in range(n_messages):
-                arrivals.append((times[ell], i, specs[i * n_messages + ell]))
+                arrivals.append((times[ell], i, specs[i * n_messages + ell].members))
         arrivals.sort(key=lambda a: a[0])
 
         state = RecoveryState(k, config.q)
         responsive = set()
         wall_time = 0.0
-        for time_s, worker, spec in arrivals:
-            value = block_products[list(spec.members)].sum(axis=0)
-            state.ingest(CodedResult(spec, value, time_s))
+        for time_s, worker, members in arrivals:
+            state.ingest(members)
             responsive.add(worker)
             wall_time = time_s
             if state.is_complete():
                 break
-        exhausted = not state.is_complete()
-        if exhausted:
-            exhausted_iterations.append(t)
 
-        r, recovered = state.finalize()
-        theta = apply_partial_update(theta, recovered, r, problem.b, config.eta)
-        train_loss, test_loss = evaluate(theta, problem)
+        r, _ = state.finalize()
         ages.update(r)
         if config.policy.kind == "adaptive":
             adaptive_shift = codec.select_adaptive_shift(
                 assignment, ages.current, config.policy.a_th, responsive)
+        steps.append((r, shift, wall_time, state.n_ingested))
 
-        records.append(IterationRecord(t, wall_time, r, train_loss, test_loss,
-                                       shift, int(r.sum()), state.n_ingested, exhausted))
+    return steps, ages
 
+
+def run_training(problem, config, assignment=None):
+    """Simulate the full training run described by `config`."""
+    ss = np.random.SeedSequence(config.seed)
+    rcs_seed, latency_seed = ss.spawn(2)
+    if assignment is None:
+        assignment = codec.build_rcs(config.n_blocks, config.n_workers, config.memory,
+                                     np.random.default_rng(rcs_seed))
+    steps, ages = simulate_recovery(config, assignment, np.random.default_rng(latency_seed))
+
+    target = recovery_target(config.n_blocks, config.q)
+    theta = np.zeros(problem.d)
+    records = []
+    for t, (r, shift, wall_time, n_ingested) in enumerate(steps, 1):
+        theta = apply_partial_update(theta, r, problem, config.eta)
+        train_loss, test_loss = evaluate(theta, problem)
+        recovered = int(r.sum())
+        records.append(IterationRecord(t, wall_time, r, train_loss, test_loss, shift,
+                                       recovered, n_ingested, recovered < target))
+    exhausted_iterations = [rec.t for rec in records if rec.exhausted]
     return TrainResult(config, assignment, records, ages, theta, exhausted_iterations)
 
 

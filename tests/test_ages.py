@@ -30,15 +30,15 @@ def test_never_recovered_age_grows_linearly():
     table = run_trace([[0]] * 10)
     assert table.history[-1, 0] == 10
     assert table.current[0] == 11
-    assert table.average_age(0) == (10 + 1) / 2
+    assert table.average_ages()[0] == (10 + 1) / 2
 
 
 def test_average_age_examples():
     always = run_trace([[1]] * 6)
-    assert always.average_age(0) == 1.0
+    assert always.average_ages()[0] == 1.0
     # recovered at every even iteration: ages 1,2,1,2,...
     alternating = run_trace([[t % 2 == 0] for t in range(1, 7)])
-    assert alternating.average_age(0) == 1.5
+    assert alternating.average_ages()[0] == 1.5
 
 
 def test_update_length_mismatch():

@@ -76,6 +76,19 @@ def test_bad_config_value_exits_2(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("line, key", [("n_blocks = 7", "n_blocks"),
+                                       ("replicas = 0", "replicas"),
+                                       ("degrees = 20,20,20", "n_blocks")],
+                         ids=["n_blocks", "replicas", "degrees"])
+def test_invalid_config_fails_before_any_work(tmp_path, capsys, line, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY_CONFIG + line + "\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert key in capsys.readouterr().err
+
+
 def test_env_var_default_output(config_file, tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "envout")
     monkeypatch.setenv("CODEDGD_OUT", out)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from codedgd import (ConfigurationError, evaluate, export_problem,
-                     full_gradient, generate_problem, import_problem,
-                     partition_blocks, run_plain_gd)
+from codedgd import (ConfigurationError, ExperimentConfig, apply_partial_update,
+                     evaluate, export_problem, full_gradient, generate_problem,
+                     import_problem, run_plain_gd)
 
 
 @pytest.fixture(scope="module")
@@ -81,34 +81,47 @@ def test_gradient_dimension_mismatch(small_problem):
         full_gradient(small_problem, np.zeros(7))
 
 
+# Block k of K is rows k*d/K .. (k+1)*d/K of W: the masked update expresses
+# the partition by repeating each block's recovery flag over its d/K rows.
+
+def block_step(p, theta, k, n_blocks, eta=0.1):
+    """Masked update with only block k recovered, minus theta."""
+    r = np.zeros(n_blocks, dtype=np.int8)
+    r[k] = 1
+    return apply_partial_update(theta, r, p, eta) - theta
+
+
 def test_partition_default_shape():
     p = generate_problem(100, 10, 1000, noise_std=0.0, seed=2)
-    part = partition_blocks(p, 40)
-    assert len(part.blocks) == 40
-    assert all(b.shape == (25, 1000) for b in part.blocks)
+    theta = np.random.default_rng(0).standard_normal(1000)
+    for k in (0, 17, 39):
+        moved = np.flatnonzero(block_step(p, theta, k, 40))
+        assert moved.tolist() == list(range(25 * k, 25 * (k + 1)))
 
 
 def test_partition_unit_blocks():
     p = generate_problem(10, 4, 4, noise_std=0.0, seed=2)
-    part = partition_blocks(p, 4)
+    theta = np.random.default_rng(1).standard_normal(4)
     for k in range(4):
-        assert np.array_equal(part.block(k)[0], p.W[k])
+        step = block_step(p, theta, k, 4)
+        assert step[k] == pytest.approx(-0.1 * (p.W[k] @ theta - p.b[k]), rel=1e-12)
+        assert np.count_nonzero(step) == 1
 
 
 def test_partition_reconstructs_matvec():
     p = generate_problem(30, 6, 20, noise_std=0.0, seed=9)
-    part = partition_blocks(p, 5)
     rng = np.random.default_rng(1)
     for _ in range(100):
         theta = rng.standard_normal(20)
-        stacked = np.concatenate([blk @ theta for blk in part.blocks])
-        full = p.W @ theta
+        stacked = np.concatenate([block_step(p, theta, k, 5)[4 * k:4 * (k + 1)]
+                                  for k in range(5)])
+        full = -0.1 * (p.W @ theta - p.b)
         assert np.linalg.norm(stacked - full) <= 1e-10 * np.linalg.norm(full)
 
 
-def test_partition_requires_divisibility(small_problem):
-    with pytest.raises(ConfigurationError):
-        partition_blocks(small_problem, 3)
+def test_partition_requires_divisibility():
+    with pytest.raises(ConfigurationError, match="n_blocks"):
+        ExperimentConfig(d=10, n_blocks=3)
 
 
 @pytest.mark.parametrize("fmt", ["binary", "csv"])

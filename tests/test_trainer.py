@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from codedgd import (OrderPolicy, StragglerProfile, TrainConfig, apply_partial_update,
                      evaluate, generate_problem, run_plain_gd, run_training)
+from codedgd.experiments import preset_config, run_seed
 
 
 def make_config(**overrides):
@@ -33,18 +36,14 @@ def test_zero_tolerance_matches_plain_gd(desk_problem):
 
 def test_partial_update_full_recovery_is_gd_step(desk_problem):
     theta = np.random.default_rng(0).standard_normal(20)
-    grad_blocks = (desk_problem.W @ theta).reshape(4, 5)
-    recovered = {k: grad_blocks[k] for k in range(4)}
-    stepped = apply_partial_update(theta, recovered, np.ones(4, dtype=int),
-                                   desk_problem.b, eta=0.1)
+    stepped = apply_partial_update(theta, np.ones(4, dtype=np.int8), desk_problem, eta=0.1)
     exact = theta - 0.1 * (desk_problem.W @ theta - desk_problem.b)
     assert np.allclose(stepped, exact, rtol=1e-12)
 
 
 def test_partial_update_no_recovery_freezes_theta(desk_problem):
     theta = np.random.default_rng(1).standard_normal(20)
-    out = apply_partial_update(theta, {}, np.zeros(4, dtype=int),
-                               desk_problem.b, eta=0.1)
+    out = apply_partial_update(theta, np.zeros(4, dtype=np.int8), desk_problem, eta=0.1)
     assert np.array_equal(out, theta)
 
 
@@ -52,8 +51,7 @@ def test_partial_update_single_coordinate():
     problem = generate_problem(10, 4, 4, noise_std=0.0, seed=5)
     theta = np.array([1.0, 2.0, 3.0, 4.0])
     value = problem.W[0] @ theta
-    out = apply_partial_update(theta, {0: np.array([value])},
-                               np.array([1, 0, 0, 0]), problem.b, eta=0.1)
+    out = apply_partial_update(theta, np.array([1, 0, 0, 0], dtype=np.int8), problem, eta=0.1)
     expected_first = 1.0 - 0.1 * (value - problem.b[0])
     assert out[0] == pytest.approx(expected_first, rel=1e-12)
     assert np.array_equal(out[1:], theta[1:])
@@ -171,3 +169,118 @@ def test_adaptive_policy_reports_shifts(desk_problem):
     shifts = {rec.shift_used for rec in result.records}
     assert shifts <= set(range(3))
     assert len(shifts) > 1  # the shift actually moves under straggling
+
+
+# Differential check on fixed seeds. The digests and final losses below were
+# computed by a value-level decoder, which summed block products per message
+# and subtracted decoded residuals. The recovery process must reproduce its
+# outputs bit for bit; the losses may differ only by rounding, because the
+# update uses exact block products instead of decoded residuals.
+
+def trace_digest(result):
+    """sha256 of r, shifts, wall times, messages ingested, exhausted list and ages."""
+    h = hashlib.sha256()
+    h.update(result.recovery_matrix().astype(np.int8).tobytes())
+    for field in ("shift_used", "n_ingested"):
+        h.update(np.array([getattr(rec, field) for rec in result.records],
+                          dtype=np.int64).tobytes())
+    h.update(np.array([rec.wall_time for rec in result.records], dtype=np.float64).tobytes())
+    h.update(np.array(result.exhausted_iterations, dtype=np.int64).tobytes())
+    h.update(result.ages.history.astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+GRID_POLICIES = {"static": OrderPolicy("static"),
+                 "fixed_shift": OrderPolicy("fixed_shift"),
+                 "adaptive": OrderPolicy("adaptive", a_th=2)}
+GRID_PROFILES = {
+    "homogeneous": StragglerProfile("homogeneous", 20, mu=10.0, alpha=0.01),
+    "persistent": StragglerProfile("persistent", 20, mu=10.0, alpha=0.01,
+                                   persistent_set=frozenset(range(7)),
+                                   alpha_straggler=10.0),
+    "markov": StragglerProfile("markov", 20, mu=10.0, alpha=0.01, p=0.05,
+                               mu_slow=2.0, initial_slow=frozenset(range(7))),
+}
+
+
+def differential_runs():
+    """(label, TrainResult) for every configuration pinned in PINNED_RUNS."""
+    problem = generate_problem(60, 12, 40, noise_std=0.1, seed=2)
+    for i, (policy, profile, q) in enumerate(
+            (p, f, q) for p in GRID_POLICIES for f in GRID_PROFILES for q in (0.0, 0.3)):
+        config = make_config(n_blocks=20, n_workers=20, n_iterations=60, q=q,
+                             policy=GRID_POLICIES[policy], degrees=(1, 2, 3),
+                             profile=GRID_PROFILES[profile], seed=100 + i)
+        yield "%s/%s/q=%g" % (policy, profile, q), run_training(problem, config)
+
+    exhausted = make_config(n_blocks=4, n_workers=2, n_iterations=3, q=0.0,
+                            degrees=(1,), seed=1)
+    yield "exhausted", run_training(generate_problem(20, 5, 8, noise_std=0.0, seed=6),
+                                    exhausted)
+
+    cfg = preset_config("fig3")
+    fig3 = generate_problem(cfg.n_train, cfg.n_test, cfg.d, cfg.noise_std, seed=cfg.seed)
+    for p_idx, policy in enumerate(cfg.policies):
+        config = cfg.train_config(policy, run_seed(cfg.seed, p_idx, 0))
+        yield "fig3/" + policy.name, run_training(fig3, config)
+
+
+PINNED_RUNS = {
+    'static/homogeneous/q=0': ('6dacace4b759d17824ccb77e198dcb506acf95d9b34770b1e494a2cc3668b6ba',
+         0.005219898765825409, 0.12946848932549584),
+    'static/homogeneous/q=0.3': ('16c8a21af592287c72f2fd7189d305eb7721743f0af309e524cc5bd43063e749',
+         0.007977734612361365, 0.21337628479606954),
+    'static/persistent/q=0': ('cfcb74a54066812c4578ffe348a63dcf120165991735317a1bcb73564560a673',
+         0.0052198987658254115, 0.1294684893254959),
+    'static/persistent/q=0.3': ('89b0e0948897aa29faf119104fc237b9e2c8a33a1a5cde9759c891faf6074765',
+         0.007398821205576014, 0.18406757227810824),
+    'static/markov/q=0': ('9c7d7b44c5f22ed5e3f22f30f456559ffbb97c431b0ec99e2d9906e62653c8bd',
+         0.005219898765825408, 0.12946848932549584),
+    'static/markov/q=0.3': ('11d514bc7b7c9bba26570499f6508f42e0540b926226dd23f484f4102139f808',
+         0.007323987482735033, 0.1960786818258893),
+    'fixed_shift/homogeneous/q=0': ('26a5ee26823cfbc9b2fb5ff0590381d2d9f2d48c8533357a5dca0be23a93c48a',
+         0.005219898765825409, 0.1294684893254959),
+    'fixed_shift/homogeneous/q=0.3': ('720cca25a9bc7911ecd865f9a09c1407b4a677dfe4065d4fcc1275341639600f',
+         0.007829751404804573, 0.21486127833950666),
+    'fixed_shift/persistent/q=0': ('7f120c6fa6f7e0efe30b332cae02ce158395a01c21b9f66453f74dcf5c28f9bc',
+         0.005219898765825407, 0.12946848932549584),
+    'fixed_shift/persistent/q=0.3': ('566903fb8616e717b8749c0878b7166128dae2cd12eeb8dc890063a2dcb32e4c',
+         0.007427025724955002, 0.18586218937515095),
+    'fixed_shift/markov/q=0': ('1ded0248e176eea210b095eeab77ca541a814a59dc82fa6d324e5ec43a62c0e4',
+         0.0052198987658254046, 0.12946848932549584),
+    'fixed_shift/markov/q=0.3': ('385b794cb0408a54ba84a8578a3f3a2916b2519e0945bfb83b0724f69e480d20',
+         0.0077084051914474965, 0.21165232675263645),
+    'adaptive/homogeneous/q=0': ('6d4b6c1bdc5445719f5959963182e47143c7961951e088db19575a06bff74e5c',
+         0.005219898765825409, 0.12946848932549576),
+    'adaptive/homogeneous/q=0.3': ('e74879cd9a0ffbd2600de58211b48a7a755be38257aca81419295444dc89e20a',
+         0.007413137855325996, 0.1857377912267938),
+    'adaptive/persistent/q=0': ('933cf3e8748d9a174ab2b6bdd522727f49756a19abcf6074a3af5853bc18c589',
+         0.00521989876582541, 0.12946848932549587),
+    'adaptive/persistent/q=0.3': ('0cf7c6ed8334b77e496fdfc558d758ec93b8151a55d37c97520fb1bc7879b611',
+         0.00847026913516707, 0.24077631396954405),
+    'adaptive/markov/q=0': ('a9ffef6c00bdb543ffc45c47424078551876bf7ea51fe749e646a67f89aa2f06',
+         0.005219898765825409, 0.12946848932549584),
+    'adaptive/markov/q=0.3': ('5e2470782fe8e019576fba388ce5572ecf7ce9faf120b718bc25b09c806641b7',
+         0.006727970772605909, 0.16393430876427714),
+    'exhausted': ('f9ffab0c9d24d37c5e97f7c76b2b3cc5d89b54cffe57c3ea28c1a23e06cedf39',
+         0.3505864561781892, 1.6834726529574595),
+    'fig3/rcs': ('f888ef11a3f680bc880bc000d299c27c73e574875e0f7217986f9f3a4a5c15ee',
+         4.036363544434332e-06, 0.0002018754500699927),
+    'fig3/rcs1': ('90f7d662eb10f730ba5a5dca0cc9454048b0a7a661f058dcb7daa402183af1bb',
+         2.7741093135826664e-06, 0.000132339374772067),
+    'fig3/adaptive2': ('f378ca47cc290cda4077e14649972fb8dbb904d537184b57b7ebe936b3e4bf78',
+         2.5076278168210888e-06, 0.00012169844156672099),
+}
+
+
+def test_differential_against_value_level_decoder():
+    seen = {}
+    for label, result in differential_runs():
+        last = result.records[-1]
+        seen[label] = (trace_digest(result), last.train_loss, last.test_loss)
+    assert sorted(seen) == sorted(PINNED_RUNS)
+    for label, (digest, train, test) in PINNED_RUNS.items():
+        got_digest, got_train, got_test = seen[label]
+        assert got_digest == digest, label
+        assert got_train == pytest.approx(train, rel=1e-12, abs=0), label
+        assert got_test == pytest.approx(test, rel=1e-12, abs=0), label
