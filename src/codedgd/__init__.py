@@ -11,7 +11,7 @@ from .experiments import (ExperimentConfig, PolicySpec, SweepResult,
                           table1_grid)
 from .latency import (LatencyParams, MarkovStragglerModel, StragglerProfile,
                       completion_cdf, effective_params,
-                      sample_completion_times, step_markov)
+                      sample_completion_times, step_markov, worker_params)
 from .problem import (ConfigurationError, RegressionProblem, export_problem,
                       full_gradient, generate_problem, import_problem)
 from .trainer import (IterationRecord, TrainConfig, TrainResult,

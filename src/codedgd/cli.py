@@ -66,6 +66,17 @@ def parse_config_file(path):
     return ExperimentConfig(**kwargs)
 
 
+def parse_q_list(text):
+    """Comma-separated tolerance levels of `table1 --q`, each in [0, 1)."""
+    try:
+        q_values = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigurationError("--q must be comma-separated numbers, got %r" % text) from None
+    if any(not 0 <= q < 1 for q in q_values):
+        raise ConfigurationError("--q values must lie in [0, 1), got %r" % text)
+    return q_values
+
+
 def _default_out():
     return os.environ.get("CODEDGD_OUT", "codedgd_out")
 
@@ -117,8 +128,12 @@ def main(argv=None):
             config = _apply_overrides(preset_config(args.name), args)
         else:
             config = _apply_overrides(preset_config("table1"), args)
+            q_values = parse_q_list(args.q)
+        checked = ([replace(config, q=q) for q in q_values]
+                   if args.command == "table1" else [config])
         # surface bad numeric settings before running
-        config.train_config(config.policies[0], run_seed=0)
+        for cfg in checked:
+            cfg.train_config(cfg.policies[0], run_seed=0)
     except (ConfigurationError, OSError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -126,7 +141,6 @@ def main(argv=None):
     try:
         os.makedirs(config.output_dir, exist_ok=True)
         if args.command == "table1":
-            q_values = [float(x) for x in args.q.split(",")]
             out_path = os.path.join(config.output_dir, "table1.csv")
             grid = table1_grid(config, q_values, a_th=args.a_th,
                                n_jobs=args.jobs, out_path=out_path)
@@ -136,10 +150,16 @@ def main(argv=None):
             print("wrote %s" % out_path)
         else:
             result = run_experiment(config, n_jobs=args.jobs)
+            total = config.replicas * config.n_iterations
             for name in result.policy_names():
                 mean, _ = result.mean_test_loss(name)
-                print("%s: final mean test loss %.6g, objective %.4f"
-                      % (name, mean[-1], result.mean_objective(name)))
+                exhausted = sum(len(run.exhausted_iterations) for run in result.runs[name])
+                print("%s: final mean test loss %.6g, objective %.4f, exhausted %d/%d iterations"
+                      % (name, mean[-1], result.mean_objective(name), exhausted, total))
+                if exhausted:
+                    print("warning: %s: %d of %d iterations used every message without "
+                          "reaching the recovery target" % (name, exhausted, total),
+                          file=sys.stderr)
             print("wrote %s" % config.output_dir)
     except ConfigurationError as exc:
         print("config error: %s" % exc, file=sys.stderr)

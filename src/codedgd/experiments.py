@@ -15,6 +15,7 @@ import numpy as np
 from . import ages as ages_mod
 from . import trainer
 from .codec import OrderPolicy
+from .decoder import recovery_target
 from .latency import StragglerProfile
 from .problem import ConfigurationError, generate_problem
 
@@ -61,6 +62,15 @@ class ExperimentConfig:
             raise ConfigurationError("replicas must be >= 1, got %d" % self.replicas)
         if self.n_blocks < 1 or self.d % self.n_blocks != 0:
             raise ConfigurationError("n_blocks=%d does not divide d=%d" % (self.n_blocks, self.d))
+        if not 0 <= self.q < 1:
+            raise ConfigurationError("q must be in [0, 1), got %g" % self.q)
+        # Each message recovers at most one block, directly or by peeling.
+        target = recovery_target(self.n_blocks, self.q)
+        if self.n_workers * len(self.degrees) < target:
+            raise ConfigurationError(
+                "n_workers=%d send %d messages per iteration, fewer than the %d blocks "
+                "ceil((1-q)K) the recovery target needs"
+                % (self.n_workers, self.n_workers * len(self.degrees), target))
 
     def straggler_profile(self):
         slow = frozenset(range(self.n_stragglers))

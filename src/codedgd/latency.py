@@ -10,22 +10,31 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .problem import ConfigurationError
+
 
 @dataclass(frozen=True)
 class LatencyParams:
+    """Scalar mu and alpha for one worker, or arrays with one entry per worker."""
+
     mu: float
     alpha: float
     n_messages: int
 
     def __post_init__(self):
-        if self.mu <= 0 or self.alpha < 0:
+        if np.any(self.mu <= 0) or np.any(self.alpha < 0):
             raise ValueError("need mu > 0 and alpha >= 0")
 
 
 def sample_completion_times(params, rng):
-    """Completion times T_1 < ... < T_L for one worker, one iteration."""
+    """Completion times T_1 < ... < T_L of one iteration.
+
+    Scalar params give one worker's L times. Array params give an N x L array
+    from a single vectorised draw, which takes the same values from `rng`,
+    in worker order, as N scalar draws and leaves it in the same state.
+    """
     y = rng.exponential(1.0 / params.mu)
-    return (params.alpha + y) * np.arange(1, params.n_messages + 1)
+    return np.multiply.outer(params.alpha + y, np.arange(1, params.n_messages + 1))
 
 
 def completion_cdf(t, s, mu, alpha):
@@ -74,6 +83,18 @@ class StragglerProfile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ValueError("unknown profile kind %r" % self.kind)
+        if not self.mu > 0:
+            raise ConfigurationError("mu must be > 0, got %g" % self.mu)
+        for key in ("alpha", "alpha_straggler"):
+            if not getattr(self, key) >= 0:
+                raise ConfigurationError("%s must be >= 0, got %g" % (key, getattr(self, key)))
+        if self.kind == "markov":
+            if not self.mu > self.mu_slow > 0:
+                raise ConfigurationError("markov profile needs mu > mu_slow > 0, got mu=%g "
+                                         "mu_slow=%g" % (self.mu, self.mu_slow))
+            if not 0 <= self.p <= 1:
+                raise ConfigurationError("markov flip probability p must be in [0, 1], "
+                                         "got p=%g" % self.p)
         workers = range(self.n_workers)
         if not self.persistent_set <= set(workers):
             raise ValueError("persistent_set contains unknown worker ids")
@@ -99,3 +120,14 @@ def effective_params(profile, worker, n_messages, markov=None):
         return LatencyParams(profile.mu, alpha, n_messages)
     mu = profile.mu_slow if markov.slow[worker] else profile.mu
     return LatencyParams(mu, profile.alpha, n_messages)
+
+
+def worker_params(profile, n_workers, n_messages, markov=None):
+    """effective_params of workers 0..n_workers-1 at once, as per-worker arrays."""
+    mu = np.full(n_workers, profile.mu)
+    alpha = np.full(n_workers, profile.alpha)
+    if profile.kind == "persistent":
+        alpha[[i for i in profile.persistent_set if i < n_workers]] = profile.alpha_straggler
+    elif profile.kind == "markov":
+        mu[markov.slow[:n_workers]] = profile.mu_slow
+    return LatencyParams(mu, alpha, n_messages)

@@ -40,6 +40,9 @@ class TrainConfig:
         if self.memory > self.n_blocks:
             raise ConfigurationError("degrees sum to %d, more than n_blocks %d"
                                      % (self.memory, self.n_blocks))
+        if self.profile.n_workers < self.n_workers:
+            raise ConfigurationError("straggler profile covers %d workers, fewer than "
+                                     "n_workers %d" % (self.profile.n_workers, self.n_workers))
 
     @property
     def memory(self):
@@ -108,41 +111,42 @@ def simulate_recovery(config, assignment, rng):
 
     Returns one (r, shift, wall_time, n_ingested) tuple per iteration and the
     AgeTable. Latency draws come from `rng`, in the order run_training uses.
+    Only M distinct shifts exist, so each shift's codewords are encoded once.
     """
     k, n_workers = config.n_blocks, config.n_workers
     n_messages = len(config.degrees)
     ages = AgeTable(k, a_th=config.age_threshold or config.policy.a_th or 1)
     markov = config.profile.initial_markov()
+    params = latency.worker_params(config.profile, n_workers, n_messages, markov)
+    codewords = {}   # shift -> block indices of each message, worker-major
     adaptive_shift = 0
     steps = []
 
     for t in range(1, config.n_iterations + 1):
         if markov is not None:
             markov = latency.step_markov(markov, rng)
+            params = latency.worker_params(config.profile, n_workers, n_messages, markov)
         shift = codec.shift_for_iteration(config.policy, t, config.memory, adaptive_shift)
-        specs = codec.encode(codec.apply_order(assignment, shift), config.degrees)
+        if shift not in codewords:
+            specs = codec.encode(codec.apply_order(assignment, shift), config.degrees)
+            codewords[shift] = [spec.members for spec in specs]
+        members = codewords[shift]
 
-        arrivals = []
-        for i in range(n_workers):
-            params = latency.effective_params(config.profile, i, n_messages, markov)
-            times = latency.sample_completion_times(params, rng)
-            for ell in range(n_messages):
-                arrivals.append((times[ell], i, specs[i * n_messages + ell].members))
-        arrivals.sort(key=lambda a: a[0])
-
+        # Stable on the worker-major flattening: equal times arrive in worker order.
+        times = latency.sample_completion_times(params, rng).ravel()
+        order = np.argsort(times, kind="stable").tolist()
         state = RecoveryState(k, config.q)
-        responsive = set()
-        wall_time = 0.0
-        for time_s, worker, members in arrivals:
-            state.ingest(members)
-            responsive.add(worker)
-            wall_time = time_s
+        for msg in order:
+            state.ingest(members[msg])
             if state.is_complete():
                 break
+        arrived = order[:state.n_ingested]
+        wall_time = times[arrived[-1]] if arrived else 0.0
 
         r, _ = state.finalize()
         ages.update(r)
         if config.policy.kind == "adaptive":
+            responsive = {msg // n_messages for msg in arrived}
             adaptive_shift = codec.select_adaptive_shift(
                 assignment, ages.current, config.policy.a_th, responsive)
         steps.append((r, shift, wall_time, state.n_ingested))

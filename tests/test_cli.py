@@ -78,8 +78,17 @@ def test_bad_config_value_exits_2(tmp_path):
 
 @pytest.mark.parametrize("line, key", [("n_blocks = 7", "n_blocks"),
                                        ("replicas = 0", "replicas"),
-                                       ("degrees = 20,20,20", "n_blocks")],
-                         ids=["n_blocks", "replicas", "degrees"])
+                                       ("degrees = 20,20,20", "n_blocks"),
+                                       ("mu = 0", "mu"),
+                                       ("alpha = -1", "alpha"),
+                                       ("alpha_straggler = -1", "alpha_straggler"),
+                                       ("profile = markov\nmu_slow = 20", "mu_slow"),
+                                       ("profile = markov\np = 2", "p="),
+                                       ("n_workers = 2\nn_stragglers = 1", "n_workers"),
+                                       ("n_workers = 0\nn_stragglers = 0", "n_workers")],
+                         ids=["n_blocks", "replicas", "degrees", "mu", "alpha",
+                              "alpha_straggler", "markov_mu_slow", "markov_p",
+                              "unreachable_target", "no_workers"])
 def test_invalid_config_fails_before_any_work(tmp_path, capsys, line, key):
     path = tmp_path / "bad.cfg"
     path.write_text(TINY_CONFIG + line + "\n")
@@ -87,6 +96,30 @@ def test_invalid_config_fails_before_any_work(tmp_path, capsys, line, key):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
     assert key in capsys.readouterr().err
+
+
+def test_run_summary_reports_exhausted_iterations(config_file, tmp_path, capsys):
+    assert main(["run", "--config", config_file, "--out", str(tmp_path / "ok")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("exhausted 0/40 iterations") == 3
+    assert "warning" not in captured.err
+
+    # Degree-2 messages alone never peel: 6 messages reach the static bound
+    # of 6 blocks, yet every iteration ends with nothing recovered.
+    path = tmp_path / "stuck.cfg"
+    path.write_text(TINY_CONFIG + "degrees = 2\nn_workers = 6\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "stuck")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("exhausted 40/40 iterations") == 3
+    assert captured.err.count("warning") == 3
+
+
+@pytest.mark.parametrize("q", ["0.1,abc", "0.1,1.5"])
+def test_table1_bad_q_fails_before_any_work(tmp_path, capsys, q):
+    out = tmp_path / "t1"
+    assert main(["table1", "--q", q, "--replicas", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--q" in capsys.readouterr().err
 
 
 def test_env_var_default_output(config_file, tmp_path, monkeypatch, capsys):

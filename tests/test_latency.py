@@ -4,7 +4,7 @@ from scipy import stats
 
 from codedgd import (LatencyParams, MarkovStragglerModel, StragglerProfile,
                      completion_cdf, effective_params,
-                     sample_completion_times, step_markov)
+                     sample_completion_times, step_markov, worker_params)
 
 
 def test_times_strictly_increasing():
@@ -117,6 +117,37 @@ def test_effective_params_homogeneous_and_errors():
     assert (params.mu, params.alpha, params.n_messages) == (7.0, 0.02, 5)
     with pytest.raises(ValueError):
         effective_params(profile, 9, 5)
+
+
+STREAM_PROFILES = {
+    "homogeneous": StragglerProfile("homogeneous", 12, mu=7.0, alpha=0.02),
+    "persistent": StragglerProfile("persistent", 12, mu=10.0, alpha=0.01,
+                                   persistent_set=frozenset({0, 3, 11}),
+                                   alpha_straggler=10.0),
+    "markov": StragglerProfile("markov", 12, mu=10.0, alpha=0.01, p=0.3,
+                               mu_slow=2.0, initial_slow=frozenset({1, 2, 10})),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STREAM_PROFILES))
+@pytest.mark.parametrize("n_workers", [12, 9])
+def test_vectorised_draw_matches_scalar_loop(kind, n_workers):
+    # One array draw per iteration must take exactly the scalar loop's values
+    # and leave the generator where the loop leaves it.
+    profile = STREAM_PROFILES[kind]
+    vec_rng, loop_rng = np.random.default_rng(8), np.random.default_rng(8)
+    vec_markov = loop_markov = profile.initial_markov()
+    for _ in range(20):
+        if vec_markov is not None:
+            vec_markov = step_markov(vec_markov, vec_rng)
+            loop_markov = step_markov(loop_markov, loop_rng)
+        vec = sample_completion_times(worker_params(profile, n_workers, 3, vec_markov),
+                                      vec_rng)
+        loop = np.array([sample_completion_times(effective_params(profile, i, 3, loop_markov),
+                                                 loop_rng) for i in range(n_workers)])
+        assert vec.shape == (n_workers, 3)
+        assert np.array_equal(vec, loop)
+    assert vec_rng.random() == loop_rng.random()
 
 
 def test_persistent_stragglers_effectively_silent():

@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from codedgd import (OrderPolicy, StragglerProfile, TrainConfig, apply_partial_update,
-                     evaluate, generate_problem, run_plain_gd, run_training)
+from codedgd import (ConfigurationError, OrderPolicy, StragglerProfile, TrainConfig,
+                     apply_partial_update, evaluate, generate_problem, run_plain_gd,
+                     run_training)
 from codedgd.experiments import preset_config, run_seed
 
 
@@ -122,6 +123,12 @@ def test_exhaustion_is_flagged_and_training_continues():
     assert result.exhausted_iterations == [1, 2, 3]
     assert all(rec.exhausted for rec in result.records)
     assert len(result.records) == 3
+
+
+def test_profile_must_cover_every_worker():
+    make_config(n_workers=2)   # a larger profile is allowed; workers beyond n_workers idle
+    with pytest.raises(ConfigurationError, match="n_workers"):
+        make_config(n_workers=5)
 
 
 def test_determinism_same_seed_same_run(desk_problem):
