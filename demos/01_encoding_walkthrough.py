@@ -12,7 +12,8 @@ from codedgd import apply_order, build_rcs, encode
 K, W, M = 20, 20, 6
 matrix = build_rcs(K, W, M, seed=0)
 
-print("row shifts:", matrix.row_shifts)
+# worker 0's column starts at block 0, so it lists each row's circular shift
+print("row shifts:", matrix.column(0).tolist())
 print("assignment matrix (blocks, 0-based), first 8 workers:")
 print(matrix.entries[:, :8])
 
@@ -21,10 +22,11 @@ col = matrix.column(worker)
 print("\nworker %d holds blocks %s (top to bottom)" % (worker, col.tolist()))
 
 degrees = [1, 2, 3]
-specs = [s for s in encode(matrix, degrees) if s.worker == worker]
-for s in specs:
+# encode lists the messages worker-major, len(degrees) per worker
+messages = encode(matrix, degrees)[worker * len(degrees):(worker + 1) * len(degrees)]
+for ell, members in enumerate(messages):
     print("  message %d: sum of blocks %s (degree %d)"
-          % (s.order + 1, list(s.members), len(s.members)))
+          % (ell + 1, list(members), len(members)))
 
 # a vertical shift rotates every column the same way, so a straggler that
 # only manages its first message contributes a different block each time

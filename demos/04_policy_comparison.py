@@ -28,9 +28,9 @@ print("full gradient descent final test loss: %.4e\n" % gd_losses[-1][1])
 for name, policy in policies.items():
     config = TrainConfig(n_blocks=20, n_workers=20, n_iterations=150, eta=0.1,
                          q=0.3, policy=policy, degrees=(1, 2, 3),
-                         profile=profile, seed=11, age_threshold=2)
+                         profile=profile, seed=11)
     result = run_training(problem, config)
     ages = result.ages.average_ages()
     print("%s final test loss %.4e   max avg age %5.2f   stale fraction %.3f"
           % (name, result.test_losses()[-1], ages.max(),
-             result.ages.objective()))
+             result.ages.objective(2)))

@@ -2,8 +2,8 @@
 and age-based dynamic computation ordering."""
 
 from .ages import AgeTable
-from .codec import (AssignmentMatrix, CodewordSpec, OrderPolicy, apply_order,
-                    build_rcs, encode, from_shifts, select_adaptive_shift,
+from .codec import (AssignmentMatrix, OrderPolicy, apply_order, build_rcs,
+                    encode, from_shifts, select_adaptive_shift,
                     shift_for_iteration)
 from .decoder import RecoveryState, recovery_target
 from .experiments import (ExperimentConfig, PolicySpec, SweepResult,
@@ -12,8 +12,8 @@ from .experiments import (ExperimentConfig, PolicySpec, SweepResult,
 from .latency import (LatencyParams, MarkovStragglerModel, StragglerProfile,
                       completion_cdf, effective_params,
                       sample_completion_times, step_markov, worker_params)
-from .problem import (ConfigurationError, RegressionProblem, export_problem,
-                      full_gradient, generate_problem, import_problem)
+from .problem import (ConfigurationError, RegressionProblem, full_gradient,
+                      generate_problem)
 from .trainer import (IterationRecord, TrainConfig, TrainResult,
                       apply_partial_update, evaluate, run_plain_gd,
                       run_training, simulate_recovery)

@@ -13,19 +13,14 @@ class AgeTable:
     which is what the adaptive shift selection reads.
     """
 
-    def __init__(self, n_blocks, a_th=1):
+    def __init__(self, n_blocks):
         self.n_blocks = n_blocks
-        self.a_th = a_th
         self.current = np.ones(n_blocks, dtype=np.int64)
         self._history = []
 
     @property
     def history(self):
         return np.array(self._history, dtype=np.int64).reshape(len(self._history), self.n_blocks)
-
-    @property
-    def n_iterations(self):
-        return len(self._history)
 
     def update(self, r):
         r = np.asarray(r)
@@ -38,10 +33,9 @@ class AgeTable:
     def average_ages(self):
         return self.history.mean(axis=0)
 
-    def objective(self, a_th=None):
-        """Fraction of (block, iteration) pairs whose age exceeds the threshold."""
-        th = self.a_th if a_th is None else a_th
-        return float((self.history > th).mean())
+    def objective(self, a_th):
+        """Fraction of (block, iteration) pairs whose age exceeds a_th."""
+        return float((self.history > a_th).mean())
 
 
 def write_ages_csv(table, path):
@@ -49,10 +43,10 @@ def write_ages_csv(table, path):
                header=",".join("a_%d" % (k + 1) for k in range(table.n_blocks)), comments="")
 
 
-def write_summary_csv(table, path):
+def write_summary_csv(table, path, a_th):
     avgs = table.average_ages()
     with open(path, "w") as fh:
         fh.write("block,average_age\n")
         for k, a in enumerate(avgs):
             fh.write("%d,%.12g\n" % (k + 1, a))
-        fh.write("objective,%.12g\n" % table.objective())
+        fh.write("objective,%.12g\n" % table.objective(a_th))

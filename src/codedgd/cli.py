@@ -88,8 +88,7 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True)
-    for p in (p_run,):
-        _common_flags(p)
+    _common_flags(p_run)
 
     p_preset = sub.add_parser("preset", help="run a built-in experiment preset")
     p_preset.add_argument("name", choices=PRESETS)
@@ -127,13 +126,14 @@ def main(argv=None):
         elif args.command == "preset":
             config = _apply_overrides(preset_config(args.name), args)
         else:
-            config = _apply_overrides(preset_config("table1"), args)
+            config = _apply_overrides(replace(preset_config("table1"), a_th=args.a_th), args)
             q_values = parse_q_list(args.q)
         checked = ([replace(config, q=q) for q in q_values]
                    if args.command == "table1" else [config])
         # surface bad numeric settings before running
         for cfg in checked:
-            cfg.train_config(cfg.policies[0], run_seed=0)
+            for policy in cfg.policies:
+                cfg.train_config(policy, run_seed=0)
     except (ConfigurationError, OSError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -142,7 +142,7 @@ def main(argv=None):
         os.makedirs(config.output_dir, exist_ok=True)
         if args.command == "table1":
             out_path = os.path.join(config.output_dir, "table1.csv")
-            grid = table1_grid(config, q_values, a_th=args.a_th,
+            grid = table1_grid(config, q_values, a_th=config.a_th,
                                n_jobs=args.jobs, out_path=out_path)
             for q in q_values:
                 cells = "  ".join("%s=%.4f" % kv for kv in sorted(grid[q].items()))

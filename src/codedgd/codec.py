@@ -1,7 +1,6 @@
 """Circularly shifted assignment matrices, ordering policies, and encoding.
 
-Block indices are 0-based internally; the CSV serialization uses 1-based
-indices to stay readable next to hand-worked examples.
+Block indices are 0-based.
 """
 
 from dataclasses import dataclass
@@ -29,13 +28,12 @@ class OrderPolicy:
 class AssignmentMatrix:
     """memory x n_workers grid of block indices.
 
-    Row j is (0, 1, ..., K-1) circularly shifted by row_shifts[j]; no
+    Row j is (0, 1, ..., K-1) circularly shifted by entries[j, 0]; no
     column repeats a block index because the shifts are pairwise distinct.
     """
 
     entries: np.ndarray
     n_blocks: int
-    row_shifts: tuple
 
     @property
     def memory(self):
@@ -57,7 +55,7 @@ def from_shifts(n_blocks, n_workers, shifts):
     cols = np.arange(n_workers)
     entries = np.array([(cols + s) % n_blocks for s in shifts])
     entries.setflags(write=False)
-    return AssignmentMatrix(entries, n_blocks, shifts)
+    return AssignmentMatrix(entries, n_blocks)
 
 
 def build_rcs(n_blocks, n_workers, memory, seed):
@@ -92,9 +90,7 @@ def apply_order(matrix, shift):
         return matrix
     entries = np.roll(matrix.entries, -shift, axis=0)
     entries.setflags(write=False)
-    m = matrix.memory
-    row_shifts = tuple(matrix.row_shifts[(r + shift) % m] for r in range(m))
-    return AssignmentMatrix(entries, matrix.n_blocks, row_shifts)
+    return AssignmentMatrix(entries, matrix.n_blocks)
 
 
 def select_adaptive_shift(matrix, ages, a_th, responsive):
@@ -113,20 +109,12 @@ def select_adaptive_shift(matrix, ages, a_th, responsive):
     return int(np.argmax(counts))
 
 
-@dataclass(frozen=True)
-class CodewordSpec:
-    """One coded task: the block indices summed into message `order` of `worker`."""
-
-    worker: int
-    order: int
-    members: tuple
-
-
 def encode(matrix, degrees):
     """Split each column top-down into groups of sizes degrees[0..L-1].
 
-    Returns the flat list of CodewordSpec, worker-major then order. The
-    runtime value of a codeword is the plain sum of its members' products.
+    Returns each message's block indices as a tuple, worker-major: message
+    ell of worker i sits at i * len(degrees) + ell. The runtime value of a
+    codeword is the plain sum of its members' products.
     """
     degrees = tuple(int(m) for m in degrees)
     if any(m < 1 for m in degrees):
@@ -135,24 +123,6 @@ def encode(matrix, degrees):
         raise ConfigurationError(
             "degree vector sums to %d, memory is %d" % (sum(degrees), matrix.memory)
         )
-    bounds = np.cumsum((0,) + degrees)
-    specs = []
-    for i in range(matrix.n_workers):
-        col = matrix.column(i)
-        for ell in range(len(degrees)):
-            members = tuple(int(k) for k in col[bounds[ell]:bounds[ell + 1]])
-            specs.append(CodewordSpec(i, ell, members))
-    return specs
-
-
-def assignment_to_csv(matrix, path):
-    np.savetxt(path, matrix.entries + 1, fmt="%d", delimiter=",")
-
-
-def assignment_from_csv(path, n_blocks):
-    entries = np.loadtxt(path, delimiter=",", dtype=int, ndmin=2) - 1
-    shifts = tuple(int(row[0]) % n_blocks for row in entries)
-    rebuilt = from_shifts(n_blocks, entries.shape[1], shifts)
-    if not np.array_equal(rebuilt.entries, entries):
-        raise ValueError("CSV rows are not circular shifts of (1..K)")
-    return rebuilt
+    bounds = np.cumsum((0,) + degrees).tolist()
+    return [tuple(col[lo:hi]) for col in matrix.entries.T.tolist()
+            for lo, hi in zip(bounds, bounds[1:])]

@@ -29,7 +29,6 @@ class RecoveryState:
 
     def __init__(self, n_blocks, tolerance):
         self.n_blocks = n_blocks
-        self.tolerance = tolerance
         self.target = recovery_target(n_blocks, tolerance)
         self.recovered = set()
         self.pending = []              # sets of unresolved member indices

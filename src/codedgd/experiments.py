@@ -58,8 +58,11 @@ class ExperimentConfig:
     output_dir: str = ""
 
     def __post_init__(self):
-        if self.replicas < 1:
-            raise ConfigurationError("replicas must be >= 1, got %d" % self.replicas)
+        for key in ("n_train", "n_test", "d", "a_th", "replicas"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError("%s must be >= 1, got %d" % (key, getattr(self, key)))
+        if self.noise_std < 0:
+            raise ConfigurationError("noise_std must be >= 0, got %g" % self.noise_std)
         if self.n_blocks < 1 or self.d % self.n_blocks != 0:
             raise ConfigurationError("n_blocks=%d does not divide d=%d" % (self.n_blocks, self.d))
         if not 0 <= self.q < 1:
@@ -90,8 +93,7 @@ class ExperimentConfig:
             n_blocks=self.n_blocks, n_workers=self.n_workers,
             n_iterations=self.n_iterations, eta=self.eta, q=self.q,
             policy=policy.order_policy(), degrees=self.degrees,
-            profile=self.straggler_profile(), seed=run_seed,
-            age_threshold=self.a_th)
+            profile=self.straggler_profile(), seed=run_seed)
 
 
 def run_seed(master_seed, policy_index, replica_index):
@@ -204,7 +206,7 @@ def write_raw_files(result, out_dir):
             os.makedirs(run_dir, exist_ok=True)
             trainer.write_metrics_csv(run, os.path.join(run_dir, "metrics.csv"))
             ages_mod.write_ages_csv(run.ages, os.path.join(run_dir, "ages.csv"))
-            ages_mod.write_summary_csv(run.ages, os.path.join(run_dir, "summary.csv"))
+            ages_mod.write_summary_csv(run.ages, os.path.join(run_dir, "summary.csv"), cfg.a_th)
             with open(os.path.join(run_dir, "run_info.txt"), "w") as fh:
                 fh.write("policy=%s\nreplica=%d\nseed=%d\nmaster_seed=%d\n"
                          "exhausted_iterations=%s\n" % (

@@ -1,7 +1,5 @@
 """Synthetic least-squares instance and its exact gradient."""
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,41 +58,3 @@ def full_gradient(problem, theta):
         raise ValueError("theta has shape %s, expected (%d,)" % (theta.shape, problem.d))
     return problem.W @ theta - problem.b
 
-
-# Optional dump of the generated instance for cross-implementation checks.
-# Binary files are row-major little-endian float64; dims.json carries shapes.
-
-_FIELDS = ("X_train", "y_train", "X_test", "y_test", "theta_star")
-
-
-def export_problem(problem, out_dir, fmt="binary"):
-    os.makedirs(out_dir, exist_ok=True)
-    dims = {}
-    for name in _FIELDS:
-        arr = np.ascontiguousarray(getattr(problem, name), dtype="<f8")
-        dims[name] = list(arr.shape)
-        if fmt == "binary":
-            arr.tofile(os.path.join(out_dir, name + ".bin"))
-        elif fmt == "csv":
-            np.savetxt(os.path.join(out_dir, name + ".csv"),
-                       arr.reshape(arr.shape[0], -1), delimiter=",")
-        else:
-            raise ConfigurationError("unknown format %r" % fmt)
-    with open(os.path.join(out_dir, "dims.json"), "w") as fh:
-        json.dump({"format": fmt, "dims": dims}, fh, indent=2)
-
-
-def import_problem(in_dir):
-    with open(os.path.join(in_dir, "dims.json")) as fh:
-        meta = json.load(fh)
-    arrays = {}
-    for name in _FIELDS:
-        shape = tuple(meta["dims"][name])
-        if meta["format"] == "binary":
-            arr = np.fromfile(os.path.join(in_dir, name + ".bin"), dtype="<f8")
-        else:
-            arr = np.loadtxt(os.path.join(in_dir, name + ".csv"), delimiter=",", ndmin=1)
-        arrays[name] = arr.reshape(shape).astype(np.float64)
-    W = arrays["X_train"].T @ arrays["X_train"]
-    b = arrays["X_train"].T @ arrays["y_train"]
-    return RegressionProblem(W=W, b=b, **arrays)

@@ -30,13 +30,14 @@ class TrainConfig:
     degrees: tuple
     profile: latency.StragglerProfile
     seed: int = 0
-    age_threshold: int = 0   # threshold for reported age metrics; 0 = policy's a_th (or 1)
 
     def __post_init__(self):
         if not 0 <= self.q < 1:
             raise ValueError("q must be in [0, 1)")
         if self.eta <= 0 or self.n_iterations < 1:
             raise ValueError("need eta > 0 and n_iterations >= 1")
+        if min(self.degrees) < 1:
+            raise ConfigurationError("degrees must be positive, got %s" % (self.degrees,))
         if self.memory > self.n_blocks:
             raise ConfigurationError("degrees sum to %d, more than n_blocks %d"
                                      % (self.memory, self.n_blocks))
@@ -115,7 +116,7 @@ def simulate_recovery(config, assignment, rng):
     """
     k, n_workers = config.n_blocks, config.n_workers
     n_messages = len(config.degrees)
-    ages = AgeTable(k, a_th=config.age_threshold or config.policy.a_th or 1)
+    ages = AgeTable(k)
     markov = config.profile.initial_markov()
     params = latency.worker_params(config.profile, n_workers, n_messages, markov)
     codewords = {}   # shift -> block indices of each message, worker-major
@@ -128,8 +129,7 @@ def simulate_recovery(config, assignment, rng):
             params = latency.worker_params(config.profile, n_workers, n_messages, markov)
         shift = codec.shift_for_iteration(config.policy, t, config.memory, adaptive_shift)
         if shift not in codewords:
-            specs = codec.encode(codec.apply_order(assignment, shift), config.degrees)
-            codewords[shift] = [spec.members for spec in specs]
+            codewords[shift] = codec.encode(codec.apply_order(assignment, shift), config.degrees)
         members = codewords[shift]
 
         # Stable on the worker-major flattening: equal times arrive in worker order.

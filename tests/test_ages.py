@@ -5,9 +5,9 @@ from codedgd import AgeTable
 from codedgd.ages import write_ages_csv, write_summary_csv
 
 
-def run_trace(recovery_rows, a_th=1):
+def run_trace(recovery_rows):
     n_blocks = len(recovery_rows[0])
-    table = AgeTable(n_blocks, a_th=a_th)
+    table = AgeTable(n_blocks)
     for r in recovery_rows:
         table.update(np.array(r))
     return table
@@ -48,21 +48,21 @@ def test_update_length_mismatch():
 
 
 def test_objective_zero_when_fresh():
-    table = run_trace([[1, 1]] * 4, a_th=1)
-    assert table.objective() == 0.0
-    assert table.objective(a_th=5) == 0.0
+    table = run_trace([[1, 1]] * 4)
+    assert table.objective(1) == 0.0
+    assert table.objective(5) == 0.0
 
 
 def test_objective_direct_evaluation():
-    table = AgeTable(2, a_th=2)
+    table = AgeTable(2)
     table._history = [np.array([1, 3]), np.array([2, 3])]
-    assert table.objective() == 0.5
+    assert table.objective(2) == 0.5
 
 
 def test_objective_monotone_in_threshold():
     rng = np.random.default_rng(0)
     table = run_trace([(rng.random(6) < 0.5).astype(int) for _ in range(50)])
-    values = [table.objective(a_th=th) for th in range(1, 10)]
+    values = [table.objective(th) for th in range(1, 10)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert all(0 <= v <= 1 for v in values)
 
@@ -81,14 +81,14 @@ def test_age_duality_with_recovery_trace():
 
 
 def test_csv_outputs(tmp_path):
-    table = run_trace([[1, 0], [0, 1], [1, 1]], a_th=1)
+    table = run_trace([[1, 0], [0, 1], [1, 1]])
     ages_path = tmp_path / "ages.csv"
     write_ages_csv(table, ages_path)
     data = np.loadtxt(ages_path, delimiter=",", skiprows=1)
     assert data.shape == (3, 2)
     assert np.array_equal(data, table.history)
     summary_path = tmp_path / "summary.csv"
-    write_summary_csv(table, summary_path)
+    write_summary_csv(table, summary_path, 1)
     text = summary_path.read_text()
     assert text.startswith("block,average_age")
     assert "objective," in text

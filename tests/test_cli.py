@@ -85,10 +85,19 @@ def test_bad_config_value_exits_2(tmp_path):
                                        ("profile = markov\nmu_slow = 20", "mu_slow"),
                                        ("profile = markov\np = 2", "p="),
                                        ("n_workers = 2\nn_stragglers = 1", "n_workers"),
-                                       ("n_workers = 0\nn_stragglers = 0", "n_workers")],
+                                       ("n_workers = 0\nn_stragglers = 0", "n_workers"),
+                                       ("a_th = 0", "a_th"),
+                                       ("policies = rcs,adaptive:0", "a_th"),
+                                       ("degrees = 0,2,2", "degrees"),
+                                       ("n_train = 0", "n_train"),
+                                       ("n_test = 0", "n_test"),
+                                       ("d = 0", "d must"),
+                                       ("noise_std = -1", "noise_std")],
                          ids=["n_blocks", "replicas", "degrees", "mu", "alpha",
                               "alpha_straggler", "markov_mu_slow", "markov_p",
-                              "unreachable_target", "no_workers"])
+                              "unreachable_target", "no_workers", "a_th",
+                              "policy_a_th", "degree_zero", "n_train", "n_test", "d",
+                              "noise_std"])
 def test_invalid_config_fails_before_any_work(tmp_path, capsys, line, key):
     path = tmp_path / "bad.cfg"
     path.write_text(TINY_CONFIG + line + "\n")
@@ -120,6 +129,15 @@ def test_table1_bad_q_fails_before_any_work(tmp_path, capsys, q):
     assert main(["table1", "--q", q, "--replicas", "1", "--out", str(out)]) == 2
     assert not out.exists()
     assert "--q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a_th", ["0", "-1"])
+def test_table1_bad_a_th_fails_before_any_work(tmp_path, capsys, a_th):
+    out = tmp_path / "t1"
+    assert main(["table1", "--a-th", a_th, "--q", "0.3", "--replicas", "1",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "a_th" in capsys.readouterr().err
 
 
 def test_env_var_default_output(config_file, tmp_path, monkeypatch, capsys):

@@ -4,7 +4,6 @@ import pytest
 from codedgd import (AgeTable, ConfigurationError, OrderPolicy, apply_order,
                      build_rcs, encode, from_shifts, select_adaptive_shift,
                      shift_for_iteration)
-from codedgd.codec import assignment_from_csv, assignment_to_csv
 
 # the 6-shift example grid used throughout: K=20, M=6, shifts (0,3,10,14,5,17)
 EXAMPLE_SHIFTS = (0, 3, 10, 14, 5, 17)
@@ -77,21 +76,22 @@ def test_policy_validation():
 
 
 def test_encode_worked_example(example_matrix):
-    specs = encode(example_matrix, (1, 2, 3))
-    w0 = [s for s in specs if s.worker == 0]
-    assert [tuple(m + 1 for m in s.members) for s in w0] == [(1,), (4, 11), (15, 6, 18)]
-    assert [s.order for s in w0] == [0, 1, 2]
+    messages = encode(example_matrix, (1, 2, 3))
+    assert len(messages) == 20 * 3
+    # worker-major: message ell of worker i sits at i * 3 + ell
+    assert [tuple(m + 1 for m in s) for s in messages[:3]] == [(1,), (4, 11), (15, 6, 18)]
+    assert [tuple(m + 1 for m in s) for s in messages[3:6]] == [(2,), (5, 12), (16, 7, 19)]
 
 
 def test_encode_uncoded_mode():
     m = from_shifts(6, 6, (0, 2, 4))
-    specs = encode(m, (1, 1, 1))
-    assert all(len(s.members) == 1 for s in specs)
+    messages = encode(m, (1, 1, 1))
+    assert all(len(s) == 1 for s in messages)
 
 
 def test_encode_single_codeword(example_matrix):
-    specs = encode(example_matrix, (6,))
-    assert all(set(s.members) == set(example_matrix.column(s.worker)) for s in specs)
+    messages = encode(example_matrix, (6,))
+    assert all(set(s) == set(example_matrix.column(i)) for i, s in enumerate(messages))
 
 
 def test_encode_degree_mismatch(example_matrix):
@@ -105,9 +105,9 @@ def test_encode_coverage_and_disjointness():
     rng = np.random.default_rng(7)
     for _ in range(20):
         mat = build_rcs(12, 12, 6, seed=rng)
-        specs = encode(mat, (1, 2, 3))
+        messages = encode(mat, (1, 2, 3))
         for i in range(12):
-            groups = [set(s.members) for s in specs if s.worker == i]
+            groups = [set(s) for s in messages[3 * i:3 * i + 3]]
             union = set().union(*groups)
             assert union == set(mat.column(i))
             assert sum(len(g) for g in groups) == len(union)
@@ -142,12 +142,3 @@ def test_adaptive_shift_matches_bruteforce():
                   for s in range(memory)]
         assert counts[best] == max(counts)
         assert all(counts[s] < counts[best] for s in range(best))
-
-
-def test_assignment_csv_roundtrip(tmp_path, example_matrix):
-    path = tmp_path / "assignment.csv"
-    assignment_to_csv(example_matrix, path)
-    first_line = path.read_text().splitlines()[0].split(",")
-    assert first_line[0] == "1"  # 1-based on disk
-    back = assignment_from_csv(path, 20)
-    assert np.array_equal(back.entries, example_matrix.entries)

@@ -133,11 +133,13 @@ def random_rcs_equations(rng):
         degrees.append(d)
         left -= d
     mat = build_rcs(n_blocks, n_workers, memory, seed=rng)
-    specs = encode(mat, degrees)
+    messages = encode(mat, degrees)
     # each worker delivers a random prefix of its message sequence, the way
     # a straggler cut off mid-iteration would
     delivered = {w: int(rng.integers(0, len(degrees) + 1)) for w in range(n_workers)}
-    kept = [s.members for s in specs if s.order < delivered[s.worker]]
+    n_messages = len(degrees)
+    kept = [members for msg, members in enumerate(messages)
+            if msg % n_messages < delivered[msg // n_messages]]
     return n_blocks, kept
 
 

@@ -1,6 +1,8 @@
-"""Every script in demos/ runs to completion against this checkout's sources."""
+"""Every script in demos/ and the README's code run to completion against
+this checkout's sources."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +13,20 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs(script):
+def run_python(args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], env=env, cwd=str(ROOT),
+    proc = subprocess.run([sys.executable] + args, env=env, cwd=str(ROOT),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(script):
+    run_python([str(script)])
+
+
+def test_readme_python_blocks_run():
+    # The second block reuses `config` from the first, so they run as one script.
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    run_python(["-c", "\n".join(blocks)])

@@ -136,6 +136,20 @@ def test_reproducibility_byte_identical(tmp_path):
                 assert a == b
 
 
+def test_one_staleness_threshold_across_outputs(tmp_path):
+    # objectives.csv and every replica's summary.csv report the objective at
+    # the experiment's a_th, whatever threshold a policy orders by.
+    cfg = tiny_config(a_th=3, output_dir=str(tmp_path))
+    run_experiment(cfg)
+    lines = (tmp_path / "objectives.csv").read_text().splitlines()[1:]
+    reported = {name: float(value) for name, value in (line.split(",") for line in lines)}
+    for policy in cfg.policies:
+        per_replica = [float((tmp_path / policy.name / ("rep%02d" % rep) / "summary.csv")
+                             .read_text().splitlines()[-1].split(",")[1])
+                       for rep in range(cfg.replicas)]
+        assert abs(np.mean(per_replica) - reported[policy.name]) <= 1e-9
+
+
 def test_table1_grid_layout(tmp_path):
     cfg = tiny_config()
     out = tmp_path / "table1.csv"

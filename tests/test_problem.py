@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from codedgd import (ConfigurationError, ExperimentConfig, apply_partial_update,
-                     evaluate, export_problem, full_gradient, generate_problem,
-                     import_problem, run_plain_gd)
+                     evaluate, full_gradient, generate_problem, run_plain_gd)
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +121,3 @@ def test_partition_reconstructs_matvec():
 def test_partition_requires_divisibility():
     with pytest.raises(ConfigurationError, match="n_blocks"):
         ExperimentConfig(d=10, n_blocks=3)
-
-
-@pytest.mark.parametrize("fmt", ["binary", "csv"])
-def test_export_import_roundtrip(tmp_path, fmt):
-    p = generate_problem(12, 4, 6, noise_std=0.05, seed=8)
-    export_problem(p, str(tmp_path / "dump"), fmt=fmt)
-    q = import_problem(str(tmp_path / "dump"))
-    assert np.allclose(q.X_train, p.X_train, atol=1e-12)
-    assert np.allclose(q.W, p.W, atol=1e-10)
-    assert np.allclose(q.b, p.b, atol=1e-10)
