@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .problem import ConfigurationError
+
 
 class ProtocolError(ValueError):
     pass
@@ -20,7 +22,7 @@ class ProtocolError(ValueError):
 def recovery_target(n_blocks, tolerance):
     """Blocks needed before an iteration may stop: ceil((1-q) * K)."""
     if not 0 <= tolerance < 1:
-        raise ValueError("tolerance must be in [0, 1), got %s" % tolerance)
+        raise ConfigurationError("q must be in [0, 1), got %s" % tolerance)
     return math.ceil((1 - tolerance) * n_blocks)
 
 

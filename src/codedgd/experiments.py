@@ -65,8 +65,12 @@ class ExperimentConfig:
             raise ConfigurationError("noise_std must be >= 0, got %g" % self.noise_std)
         if self.n_blocks < 1 or self.d % self.n_blocks != 0:
             raise ConfigurationError("n_blocks=%d does not divide d=%d" % (self.n_blocks, self.d))
-        if not 0 <= self.q < 1:
-            raise ConfigurationError("q must be in [0, 1), got %g" % self.q)
+        if not 0 <= self.n_stragglers <= self.n_workers:
+            raise ConfigurationError("n_stragglers must be in [0, n_workers=%d], got %d"
+                                     % (self.n_workers, self.n_stragglers))
+        names = [p.name for p in self.policies]
+        if len(set(names)) < len(names):
+            raise ConfigurationError("policies need distinct names, got %s" % ",".join(names))
         # Each message recovers at most one block, directly or by peeling.
         target = recovery_target(self.n_blocks, self.q)
         if self.n_workers * len(self.degrees) < target:
@@ -74,11 +78,12 @@ class ExperimentConfig:
                 "n_workers=%d send %d messages per iteration, fewer than the %d blocks "
                 "ceil((1-q)K) the recovery target needs"
                 % (self.n_workers, self.n_workers * len(self.degrees), target))
+        # The policy, profile and training checks run here too, once.
+        for policy in self.policies:
+            self.train_config(policy, self.seed)
 
     def straggler_profile(self):
         slow = frozenset(range(self.n_stragglers))
-        if self.profile_kind == "homogeneous":
-            return StragglerProfile("homogeneous", self.n_workers, self.mu, self.alpha)
         if self.profile_kind == "persistent":
             return StragglerProfile("persistent", self.n_workers, self.mu, self.alpha,
                                     persistent_set=slow,
@@ -86,7 +91,7 @@ class ExperimentConfig:
         if self.profile_kind == "markov":
             return StragglerProfile("markov", self.n_workers, self.mu, self.alpha,
                                     p=self.p, mu_slow=self.mu_slow, initial_slow=slow)
-        raise ConfigurationError("unknown profile kind %r" % self.profile_kind)
+        return StragglerProfile(self.profile_kind, self.n_workers, self.mu, self.alpha)
 
     def train_config(self, policy, run_seed):
         return trainer.TrainConfig(
@@ -269,17 +274,13 @@ def write_objectives(result, out_dir):
     return path
 
 
-def table1_grid(base_config, q_values, a_th=2, replicas=None, n_jobs=1, out_path=None):
+def table1_grid(base_config, q_values, a_th=2, n_jobs=1, out_path=None):
     """Mean staleness objective per (tolerance, policy) cell."""
-    if any(not 0 <= q < 1 for q in q_values):
-        raise ConfigurationError("tolerances must lie in [0, 1)")
+    cells = [replace(base_config, q=q, a_th=a_th, output_dir="") for q in q_values]
     grid = {}
-    for q in q_values:
-        cfg = replace(base_config, q=q, a_th=a_th, output_dir="")
-        if replicas is not None:
-            cfg = replace(cfg, replicas=replicas)
+    for q, cfg in zip(q_values, cells):
         res = run_experiment(cfg, n_jobs=n_jobs, write_files=False)
-        grid[q] = {name: res.mean_objective(name, a_th) for name in res.policy_names()}
+        grid[q] = {name: res.mean_objective(name) for name in res.policy_names()}
     if out_path:
         names = [p.name for p in base_config.policies]
         with open(out_path, "w") as fh:

@@ -82,7 +82,8 @@ class StragglerProfile:
 
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
-            raise ValueError("unknown profile kind %r" % self.kind)
+            raise ConfigurationError("profile kind must be one of %s, got %r"
+                                     % (", ".join(PROFILE_KINDS), self.kind))
         if not self.mu > 0:
             raise ConfigurationError("mu must be > 0, got %g" % self.mu)
         for key in ("alpha", "alpha_straggler"):
@@ -95,11 +96,9 @@ class StragglerProfile:
             if not 0 <= self.p <= 1:
                 raise ConfigurationError("markov flip probability p must be in [0, 1], "
                                          "got p=%g" % self.p)
-        workers = range(self.n_workers)
-        if not self.persistent_set <= set(workers):
-            raise ValueError("persistent_set contains unknown worker ids")
-        if not self.initial_slow <= set(workers):
-            raise ValueError("initial_slow contains unknown worker ids")
+        for key in ("persistent_set", "initial_slow"):
+            if not getattr(self, key) <= set(range(self.n_workers)):
+                raise ConfigurationError("%s contains unknown worker ids" % key)
 
     def initial_markov(self):
         if self.kind != "markov":

@@ -33,9 +33,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0 <= self.q < 1:
-            raise ValueError("q must be in [0, 1)")
-        if self.eta <= 0 or self.n_iterations < 1:
-            raise ValueError("need eta > 0 and n_iterations >= 1")
+            raise ConfigurationError("q must be in [0, 1), got %g" % self.q)
+        if not self.eta > 0:
+            raise ConfigurationError("eta must be > 0, got %g" % self.eta)
+        if self.n_iterations < 1:
+            raise ConfigurationError("n_iterations must be >= 1, got %d" % self.n_iterations)
         if min(self.degrees) < 1:
             raise ConfigurationError("degrees must be positive, got %s" % (self.degrees,))
         if self.memory > self.n_blocks:
@@ -94,16 +96,15 @@ def apply_partial_update(theta, r, problem, eta):
     return theta - eta * np.repeat(r, problem.d // len(r)) * (problem.W @ theta - problem.b)
 
 
-def run_plain_gd(problem, eta, n_iterations, record_every=1):
+def run_plain_gd(problem, eta, n_iterations):
     """Uncoded full-gradient descent, the convergence baseline."""
     theta = np.zeros(problem.d)
     trajectory = [theta.copy()]
     losses = []
-    for t in range(1, n_iterations + 1):
+    for _ in range(n_iterations):
         theta = theta - eta * (problem.W @ theta - problem.b)
-        if t % record_every == 0:
-            trajectory.append(theta.copy())
-            losses.append(evaluate(theta, problem))
+        trajectory.append(theta.copy())
+        losses.append(evaluate(theta, problem))
     return theta, trajectory, losses
 
 

@@ -1,9 +1,11 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from codedgd.cli import main, parse_config_file, parse_policy_token
+from codedgd.experiments import ExperimentConfig
 from codedgd.problem import ConfigurationError
 
 TINY_CONFIG = """
@@ -52,6 +54,21 @@ def test_parse_config_file(config_file):
     assert [p.name for p in cfg.policies] == ["rcs", "rcs1", "adaptive2"]
 
 
+def test_config_file_round_trip(tmp_path):
+    # Every scalar field, each set away from its default, parses back unchanged.
+    expected = ExperimentConfig(
+        n_train=61, n_test=13, d=48, noise_std=0.5, n_blocks=8, n_workers=9,
+        n_iterations=21, eta=0.05, q=0.125, a_th=3, profile_kind="markov", mu=9.5,
+        alpha=0.02, n_stragglers=4, alpha_straggler=7.5, p=0.25, mu_slow=1.5,
+        replicas=3, seed=11, output_dir="runs/round_trip")
+    default = ExperimentConfig()
+    scalars = [f.name for f in fields(ExperimentConfig) if f.name not in ("degrees", "policies")]
+    assert all(getattr(expected, key) != getattr(default, key) for key in scalars)
+    path = tmp_path / "all.cfg"
+    path.write_text("".join("%s = %s\n" % (key, getattr(expected, key)) for key in scalars))
+    assert parse_config_file(str(path)) == expected
+
+
 def test_parse_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("frobnicate = 3\n")
@@ -92,12 +109,21 @@ def test_bad_config_value_exits_2(tmp_path):
                                        ("n_train = 0", "n_train"),
                                        ("n_test = 0", "n_test"),
                                        ("d = 0", "d must"),
-                                       ("noise_std = -1", "noise_std")],
+                                       ("noise_std = -1", "noise_std"),
+                                       ("policies = rcs,rcs", "policies"),
+                                       ("policies = adaptive:2,adaptive:02", "policies"),
+                                       ("n_stragglers = -3", "n_stragglers"),
+                                       ("n_stragglers = 30", "n_stragglers"),
+                                       ("eta = 0", "eta"),
+                                       ("n_iterations = 0", "n_iterations"),
+                                       ("profile = bogus", "profile")],
                          ids=["n_blocks", "replicas", "degrees", "mu", "alpha",
                               "alpha_straggler", "markov_mu_slow", "markov_p",
                               "unreachable_target", "no_workers", "a_th",
                               "policy_a_th", "degree_zero", "n_train", "n_test", "d",
-                              "noise_std"])
+                              "noise_std", "duplicate_policy", "duplicate_adaptive",
+                              "n_stragglers_negative", "n_stragglers_too_many", "eta",
+                              "n_iterations", "profile_kind"])
 def test_invalid_config_fails_before_any_work(tmp_path, capsys, line, key):
     path = tmp_path / "bad.cfg"
     path.write_text(TINY_CONFIG + line + "\n")

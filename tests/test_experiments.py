@@ -150,6 +150,22 @@ def test_one_staleness_threshold_across_outputs(tmp_path):
         assert abs(np.mean(per_replica) - reported[policy.name]) <= 1e-9
 
 
+@pytest.mark.parametrize("override, key", [
+    (dict(eta=0), "eta"),
+    (dict(n_iterations=0), "n_iterations"),
+    (dict(profile_kind="bogus"), "profile kind"),
+    (dict(degrees=(0, 2)), "degrees"),
+    (dict(mu=0), "mu"),
+    (dict(policies=(PolicySpec("adaptive0", "adaptive", 0),)), "a_th"),
+    (dict(policies=(PolicySpec("rcs", "static"), PolicySpec("rcs", "fixed_shift"))),
+     "policies"),
+], ids=["eta", "n_iterations", "profile_kind", "degrees", "mu", "policy_a_th",
+        "duplicate_policy"])
+def test_invalid_config_fails_at_construction(override, key):
+    with pytest.raises(ConfigurationError, match=key):
+        tiny_config(**override)
+
+
 def test_table1_grid_layout(tmp_path):
     cfg = tiny_config()
     out = tmp_path / "table1.csv"
