@@ -53,7 +53,10 @@ def parse_config_file(path):
     for key, val in values.items():
         if key not in parsers:
             raise ConfigurationError("%s: unknown config key %r" % (path, key))
-        kwargs["profile_kind" if key == "profile" else key] = parsers[key](val)
+        try:
+            kwargs["profile_kind" if key == "profile" else key] = parsers[key](val)
+        except ValueError as exc:
+            raise ConfigurationError("%s: %s = %r: %s" % (path, key, val, exc)) from None
     return ExperimentConfig(**kwargs)
 
 

@@ -7,6 +7,12 @@ time order until the tolerance target is met, and advances the age table.
 The optimizer (`run_training`) is then masked gradient descent driven by
 each iteration's recovery vector r: theta <- theta - eta * r (.) (W theta - b),
 with r repeated over the d/K coordinates of each block.
+
+The losses never feed back into either part, so they are evaluated over the
+trajectory, not per step: each theta_t is copied into a d x EVAL_CHUNK buffer,
+and each full buffer, plus the partial one at the end of the run, costs one
+`evaluate` call, i.e. one GEMM on X_train and one on X_test. The chunk
+boundaries depend on the iteration count alone.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +23,8 @@ from . import codec, latency
 from .ages import AgeTable
 from .decoder import RecoveryState, recovery_target
 from .problem import ConfigurationError
+
+EVAL_CHUNK = 32   # iterates per loss evaluation; its GEMM temporaries are n x EVAL_CHUNK
 
 
 @dataclass(frozen=True)
@@ -85,10 +93,21 @@ class TrainResult:
 
 
 def evaluate(theta, problem):
-    """Mean squared error (with the 1/2 factor) on the train and test splits."""
-    train = 0.5 * np.mean((problem.X_train @ theta - problem.y_train) ** 2)
-    test = 0.5 * np.mean((problem.X_test @ theta - problem.y_test) ** 2)
-    return float(train), float(test)
+    """Mean squared error (with the 1/2 factor) on the train and test splits.
+
+    A 1-D `theta` gives two floats. A d x C matrix, one iterate per column,
+    gives two length-C arrays from one GEMM per split; run_training and
+    run_plain_gd evaluate their trajectories this way, EVAL_CHUNK iterates at
+    a time. A column may differ from the 1-D call in the last bits, because
+    GEMM and the mat-vec sum in different orders.
+    """
+    losses = []
+    for X, y in ((problem.X_train, problem.y_train), (problem.X_test, problem.y_test)):
+        residual = (X @ theta).T   # one row per iterate; in place keeps temporaries at n x C
+        residual -= y
+        residual *= residual
+        losses.append(0.5 * residual.mean(axis=-1))
+    return tuple(map(float, losses)) if theta.ndim == 1 else tuple(losses)
 
 
 def apply_partial_update(theta, r, problem, eta):
@@ -100,11 +119,13 @@ def run_plain_gd(problem, eta, n_iterations):
     """Uncoded full-gradient descent, the convergence baseline."""
     theta = np.zeros(problem.d)
     trajectory = [theta.copy()]
-    losses = []
     for _ in range(n_iterations):
         theta = theta - eta * (problem.W @ theta - problem.b)
         trajectory.append(theta.copy())
-        losses.append(evaluate(theta, problem))
+    losses = []
+    for start in range(1, n_iterations + 1, EVAL_CHUNK):
+        train, test = evaluate(np.column_stack(trajectory[start:start + EVAL_CHUNK]), problem)
+        losses.extend(zip(train.tolist(), test.tolist()))
     return theta, trajectory, losses
 
 
@@ -166,10 +187,17 @@ def run_training(problem, config, assignment=None):
 
     target = recovery_target(config.n_blocks, config.q)
     theta = np.zeros(problem.d)
-    records = []
-    for t, (r, shift, wall_time, n_ingested) in enumerate(steps, 1):
+    chunk = np.empty((problem.d, EVAL_CHUNK), order="F")   # theta_t in column t % EVAL_CHUNK
+    train, test = np.empty(len(steps)), np.empty(len(steps))
+    for t, (r, *_) in enumerate(steps):
         theta = apply_partial_update(theta, r, problem, config.eta)
-        train_loss, test_loss = evaluate(theta, problem)
+        col = t % EVAL_CHUNK
+        chunk[:, col] = theta
+        if col == EVAL_CHUNK - 1 or t == len(steps) - 1:
+            train[t - col:t + 1], test[t - col:t + 1] = evaluate(chunk[:, :col + 1], problem)
+    records = []
+    for t, ((r, shift, wall_time, n_ingested), train_loss, test_loss) in enumerate(
+            zip(steps, train.tolist(), test.tolist()), 1):
         recovered = int(r.sum())
         records.append(IterationRecord(t, wall_time, r, train_loss, test_loss, shift,
                                        recovered, n_ingested, recovered < target))

@@ -7,6 +7,7 @@ import pytest
 from codedgd.cli import main, parse_config_file, parse_policy_token
 from codedgd.experiments import ExperimentConfig
 from codedgd.problem import ConfigurationError
+from codedgd.trainer import EVAL_CHUNK
 
 TINY_CONFIG = """
 # tiny experiment for CLI tests
@@ -116,14 +117,15 @@ def test_bad_config_value_exits_2(tmp_path):
                                        ("n_stragglers = 30", "n_stragglers"),
                                        ("eta = 0", "eta"),
                                        ("n_iterations = 0", "n_iterations"),
-                                       ("profile = bogus", "profile")],
+                                       ("profile = bogus", "profile"),
+                                       ("n_workers = 1.5", "n_workers")],
                          ids=["n_blocks", "replicas", "degrees", "mu", "alpha",
                               "alpha_straggler", "markov_mu_slow", "markov_p",
                               "unreachable_target", "no_workers", "a_th",
                               "policy_a_th", "degree_zero", "n_train", "n_test", "d",
                               "noise_std", "duplicate_policy", "duplicate_adaptive",
                               "n_stragglers_negative", "n_stragglers_too_many", "eta",
-                              "n_iterations", "profile_kind"])
+                              "n_iterations", "profile_kind", "n_workers_float"])
 def test_invalid_config_fails_before_any_work(tmp_path, capsys, line, key):
     path = tmp_path / "bad.cfg"
     path.write_text(TINY_CONFIG + line + "\n")
@@ -131,6 +133,20 @@ def test_invalid_config_fails_before_any_work(tmp_path, capsys, line, key):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
     assert key in capsys.readouterr().err
+
+
+def test_output_tree_does_not_depend_on_jobs(tmp_path):
+    # Two replicas over more than two loss-evaluation chunks, in one process and in the pool.
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY_CONFIG + "n_iterations = %d\n" % (2 * EVAL_CHUNK + 3))
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / ("jobs" + jobs)
+        assert main(["run", "--config", str(path), "--jobs", jobs, "--out", str(out)]) == 0
+        trees.append({str(f.relative_to(out)): f.read_bytes()
+                      for f in out.rglob("*") if f.is_file()})
+    assert len(trees[0]) == 3 + 3 * 2 * 4   # aggregates, then 4 files per policy replica
+    assert trees[0] == trees[1]
 
 
 def test_run_summary_reports_exhausted_iterations(config_file, tmp_path, capsys):

@@ -7,6 +7,7 @@ from codedgd import (ConfigurationError, OrderPolicy, StragglerProfile, TrainCon
                      apply_partial_update, evaluate, generate_problem, run_plain_gd,
                      run_training)
 from codedgd.experiments import preset_config, run_seed
+from codedgd.trainer import EVAL_CHUNK
 
 
 def make_config(**overrides):
@@ -70,6 +71,34 @@ def test_evaluate_examples(desk_problem):
     train_r, test_r = evaluate(theta, desk_problem)
     assert train_r == pytest.approx(ref_train, rel=1e-10)
     assert test_r == pytest.approx(ref_test, rel=1e-10)
+
+
+def test_evaluate_on_a_matrix_matches_column_calls():
+    problem = generate_problem(500, 100, 200, noise_std=0.1, seed=9)
+    thetas = np.random.default_rng(4).standard_normal((200, EVAL_CHUNK))
+    train, test = evaluate(thetas, problem)
+    assert train.shape == test.shape == (EVAL_CHUNK,)
+    for col in range(EVAL_CHUNK):
+        train_1d, test_1d = evaluate(thetas[:, col].copy(), problem)
+        assert type(train_1d) is float and type(test_1d) is float
+        assert train[col] == pytest.approx(train_1d, rel=1e-12, abs=0)
+        assert test[col] == pytest.approx(test_1d, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n_iterations", [1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1,
+                                          2 * EVAL_CHUNK + 3])
+def test_chunked_losses_match_per_iteration_evaluate(desk_problem, n_iterations):
+    # Replay masked GD from the recorded r, evaluating one iterate at a time.
+    config = make_config(n_iterations=n_iterations, q=0.25, seed=5)
+    result = run_training(desk_problem, config)
+    assert len(result.records) == n_iterations
+    theta = np.zeros(desk_problem.d)
+    for rec in result.records:
+        theta = apply_partial_update(theta, rec.r, desk_problem, config.eta)
+        train, test = evaluate(theta, desk_problem)
+        assert rec.train_loss == pytest.approx(train, rel=1e-12, abs=0), rec.t
+        assert rec.test_loss == pytest.approx(test, rel=1e-12, abs=0), rec.t
+    assert np.array_equal(result.theta, theta)
 
 
 def test_iteration_stops_at_tolerance_target():
