@@ -14,9 +14,8 @@ from .latency import (LatencyParams, MarkovStragglerModel, StragglerProfile,
                       sample_completion_times, step_markov, worker_params)
 from .problem import (ConfigurationError, RegressionProblem, full_gradient,
                       generate_problem)
-from .trainer import (IterationRecord, TrainConfig, TrainResult,
-                      apply_partial_update, evaluate, run_plain_gd,
-                      run_training, simulate_recovery)
+from .trainer import (TrainConfig, TrainResult, apply_partial_update, evaluate,
+                      run_plain_gd, run_training, simulate_recovery)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -61,6 +61,8 @@ class ExperimentConfig:
         for key in ("n_train", "n_test", "d", "a_th", "replicas"):
             if getattr(self, key) < 1:
                 raise ConfigurationError("%s must be >= 1, got %d" % (key, getattr(self, key)))
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0, got %d" % self.seed)
         if self.noise_std < 0:
             raise ConfigurationError("noise_std must be >= 0, got %g" % self.noise_std)
         if self.n_blocks < 1 or self.d % self.n_blocks != 0:

@@ -4,9 +4,12 @@ The recovery process (`simulate_recovery`) never reads the model. Each
 iteration it picks the vertical shift for the ordering policy, encodes, draws
 completion times, streams message indices into the peeling decoder in global
 time order until the tolerance target is met, and advances the age table.
-The optimizer (`run_training`) is then masked gradient descent driven by
-each iteration's recovery vector r: theta <- theta - eta * r (.) (W theta - b),
-with r repeated over the d/K coordinates of each block.
+It fills one row of the run's record table (a length-T `np.recarray`, one
+row per iteration) with the recovery vector r, the shift, the wall time and
+the message and block counts. The optimizer (`run_training`) is then masked
+gradient descent over the table's r column:
+theta <- theta - eta * r (.) (W theta - b), with r repeated over the d/K
+coordinates of each block, and it writes the losses into the same table.
 
 The losses never feed back into either part, so they are evaluated over the
 trajectory, not per step: each theta_t is copied into a d x EVAL_CHUNK buffer,
@@ -15,7 +18,7 @@ and each full buffer, plus the partial one at the end of the run, costs one
 boundaries depend on the iteration count alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,36 +63,28 @@ class TrainConfig:
         return int(sum(self.degrees))
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    t: int
-    wall_time: float
-    r: np.ndarray
-    train_loss: float
-    test_loss: float
-    shift_used: int
-    recovered_count: int
-    n_ingested: int
-    exhausted: bool
-
-
 @dataclass
 class TrainResult:
     config: TrainConfig
     assignment: codec.AssignmentMatrix
-    records: list
+    records: np.recarray   # one row per iteration, see simulate_recovery
     ages: AgeTable
     theta: np.ndarray
-    exhausted_iterations: list = field(default_factory=list)
+
+    @property
+    def exhausted_iterations(self):
+        """Iterations, counted from 1, that ran out of messages short of the recovery target."""
+        target = recovery_target(self.config.n_blocks, self.config.q)
+        return (np.flatnonzero(self.records.recovered_count < target) + 1).tolist()
 
     def test_losses(self):
-        return np.array([rec.test_loss for rec in self.records])
+        return self.records.test_loss
 
     def train_losses(self):
-        return np.array([rec.train_loss for rec in self.records])
+        return self.records.train_loss
 
     def recovery_matrix(self):
-        return np.array([rec.r for rec in self.records])
+        return self.records.r
 
 
 def evaluate(theta, problem):
@@ -132,8 +127,11 @@ def run_plain_gd(problem, eta, n_iterations):
 def simulate_recovery(config, assignment, rng):
     """Run the recovery process alone; it never reads the model.
 
-    Returns one (r, shift, wall_time, n_ingested) tuple per iteration and the
-    AgeTable. Latency draws come from `rng`, in the order run_training uses.
+    Returns the record table and the AgeTable. The table is a length-T
+    `np.recarray` with one row per iteration: the recovery vector `r` (int8,
+    K), `shift_used`, `wall_time`, `n_ingested`, `recovered_count`, and
+    `train_loss` and `test_loss`, which stay NaN until run_training fills
+    them. Latency draws come from `rng`, in the order run_training uses.
     Only M distinct shifts exist, so each shift's codewords are encoded once.
     """
     k, n_workers = config.n_blocks, config.n_workers
@@ -143,7 +141,10 @@ def simulate_recovery(config, assignment, rng):
     params = latency.worker_params(config.profile, n_workers, n_messages, markov)
     codewords = {}   # shift -> block indices of each message, worker-major
     adaptive_shift = 0
-    steps = []
+    records = np.recarray(config.n_iterations, dtype=[
+        ("r", np.int8, (k,)), ("shift_used", np.int64), ("wall_time", np.float64),
+        ("n_ingested", np.int64), ("recovered_count", np.int64),
+        ("train_loss", np.float64), ("test_loss", np.float64)])
 
     for t in range(1, config.n_iterations + 1):
         if markov is not None:
@@ -165,15 +166,15 @@ def simulate_recovery(config, assignment, rng):
         arrived = order[:state.n_ingested]
         wall_time = times[arrived[-1]] if arrived else 0.0
 
-        r, _ = state.finalize()
+        r, recovered = state.finalize()
         ages.update(r)
         if config.policy.kind == "adaptive":
             responsive = {msg // n_messages for msg in arrived}
             adaptive_shift = codec.select_adaptive_shift(
                 assignment, ages.current, config.policy.a_th, responsive)
-        steps.append((r, shift, wall_time, state.n_ingested))
+        records[t - 1] = (r, shift, wall_time, state.n_ingested, len(recovered), np.nan, np.nan)
 
-    return steps, ages
+    return records, ages
 
 
 def run_training(problem, config, assignment=None):
@@ -183,32 +184,24 @@ def run_training(problem, config, assignment=None):
     if assignment is None:
         assignment = codec.build_rcs(config.n_blocks, config.n_workers, config.memory,
                                      np.random.default_rng(rcs_seed))
-    steps, ages = simulate_recovery(config, assignment, np.random.default_rng(latency_seed))
+    records, ages = simulate_recovery(config, assignment, np.random.default_rng(latency_seed))
 
-    target = recovery_target(config.n_blocks, config.q)
     theta = np.zeros(problem.d)
     chunk = np.empty((problem.d, EVAL_CHUNK), order="F")   # theta_t in column t % EVAL_CHUNK
-    train, test = np.empty(len(steps)), np.empty(len(steps))
-    for t, (r, *_) in enumerate(steps):
+    train, test = records.train_loss, records.test_loss    # views: writes fill the table
+    for t, r in enumerate(records.r):
         theta = apply_partial_update(theta, r, problem, config.eta)
         col = t % EVAL_CHUNK
         chunk[:, col] = theta
-        if col == EVAL_CHUNK - 1 or t == len(steps) - 1:
+        if col == EVAL_CHUNK - 1 or t == len(records) - 1:
             train[t - col:t + 1], test[t - col:t + 1] = evaluate(chunk[:, :col + 1], problem)
-    records = []
-    for t, ((r, shift, wall_time, n_ingested), train_loss, test_loss) in enumerate(
-            zip(steps, train.tolist(), test.tolist()), 1):
-        recovered = int(r.sum())
-        records.append(IterationRecord(t, wall_time, r, train_loss, test_loss, shift,
-                                       recovered, n_ingested, recovered < target))
-    exhausted_iterations = [rec.t for rec in records if rec.exhausted]
-    return TrainResult(config, assignment, records, ages, theta, exhausted_iterations)
+    return TrainResult(config, assignment, records, ages, theta)
 
 
 def write_metrics_csv(result, path):
+    rec = result.records
+    rows = zip(range(1, len(rec) + 1), rec.wall_time.tolist(), rec.shift_used.tolist(),
+               rec.recovered_count.tolist(), rec.train_loss.tolist(), rec.test_loss.tolist())
     with open(path, "w") as fh:
         fh.write("t,wall_time,shift_used,recovered_count,train_loss,test_loss\n")
-        for rec in result.records:
-            fh.write("%d,%.12g,%d,%d,%.12g,%.12g\n" % (
-                rec.t, rec.wall_time, rec.shift_used, rec.recovered_count,
-                rec.train_loss, rec.test_loss))
+        fh.writelines("%d,%.12g,%d,%d,%.12g,%.12g\n" % row for row in rows)

@@ -118,14 +118,15 @@ def test_bad_config_value_exits_2(tmp_path):
                                        ("eta = 0", "eta"),
                                        ("n_iterations = 0", "n_iterations"),
                                        ("profile = bogus", "profile"),
-                                       ("n_workers = 1.5", "n_workers")],
+                                       ("n_workers = 1.5", "n_workers"),
+                                       ("seed = -1", "seed")],
                          ids=["n_blocks", "replicas", "degrees", "mu", "alpha",
                               "alpha_straggler", "markov_mu_slow", "markov_p",
                               "unreachable_target", "no_workers", "a_th",
                               "policy_a_th", "degree_zero", "n_train", "n_test", "d",
                               "noise_std", "duplicate_policy", "duplicate_adaptive",
                               "n_stragglers_negative", "n_stragglers_too_many", "eta",
-                              "n_iterations", "profile_kind", "n_workers_float"])
+                              "n_iterations", "profile_kind", "n_workers_float", "seed"])
 def test_invalid_config_fails_before_any_work(tmp_path, capsys, line, key):
     path = tmp_path / "bad.cfg"
     path.write_text(TINY_CONFIG + line + "\n")

@@ -7,7 +7,7 @@ from codedgd import (ConfigurationError, OrderPolicy, StragglerProfile, TrainCon
                      apply_partial_update, evaluate, generate_problem, run_plain_gd,
                      run_training)
 from codedgd.experiments import preset_config, run_seed
-from codedgd.trainer import EVAL_CHUNK
+from codedgd.trainer import EVAL_CHUNK, write_metrics_csv
 
 
 def make_config(**overrides):
@@ -93,11 +93,11 @@ def test_chunked_losses_match_per_iteration_evaluate(desk_problem, n_iterations)
     result = run_training(desk_problem, config)
     assert len(result.records) == n_iterations
     theta = np.zeros(desk_problem.d)
-    for rec in result.records:
+    for t, rec in enumerate(result.records, 1):
         theta = apply_partial_update(theta, rec.r, desk_problem, config.eta)
         train, test = evaluate(theta, desk_problem)
-        assert rec.train_loss == pytest.approx(train, rel=1e-12, abs=0), rec.t
-        assert rec.test_loss == pytest.approx(test, rel=1e-12, abs=0), rec.t
+        assert rec.train_loss == pytest.approx(train, rel=1e-12, abs=0), t
+        assert rec.test_loss == pytest.approx(test, rel=1e-12, abs=0), t
     assert np.array_equal(result.theta, theta)
 
 
@@ -150,8 +150,29 @@ def test_exhaustion_is_flagged_and_training_continues():
                          degrees=(1,), seed=1)
     result = run_training(problem, config)
     assert result.exhausted_iterations == [1, 2, 3]
-    assert all(rec.exhausted for rec in result.records)
     assert len(result.records) == 3
+
+
+def per_record_metrics_csv(result):
+    """metrics.csv as the per-record formatter wrote it before the record table."""
+    lines = ["t,wall_time,shift_used,recovered_count,train_loss,test_loss\n"]
+    for t, rec in enumerate(result.records, 1):
+        lines.append("%d,%.12g,%d,%d,%.12g,%.12g\n" % (
+            t, rec.wall_time, rec.shift_used, int(rec.r.sum()), rec.train_loss, rec.test_loss))
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(n_iterations=2 * EVAL_CHUNK + 3, q=0.25, seed=5),
+    dict(n_blocks=4, n_workers=2, n_iterations=3, q=0.0, degrees=(1,), seed=1)],
+    ids=["desk", "exhausted"])
+def test_record_table_against_per_record_formatter(desk_problem, tmp_path, overrides):
+    result = run_training(desk_problem, make_config(**overrides))
+    write_metrics_csv(result, tmp_path / "metrics.csv")
+    assert (tmp_path / "metrics.csv").read_bytes() == per_record_metrics_csv(result)
+    assert np.array_equal(result.records.recovered_count, result.records.r.sum(axis=1))
+    assert not np.isnan(result.train_losses()).any()
+    assert not np.isnan(result.test_losses()).any()
 
 
 def test_profile_must_cover_every_worker():
