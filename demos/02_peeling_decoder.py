@@ -2,14 +2,15 @@
 
 A message is the sum of its member blocks' products, so what it can reveal
 depends only on which members are already known. The decoder therefore
-works on block indices alone: degree-1 messages recover a block outright;
-higher-degree sums wait in a pending list until all but one member is known,
-and recovering a block can unlock pending messages recursively.
+works on block indices alone, each message a bitmask of its members:
+degree-1 messages recover a block outright; higher-degree sums wait as
+pending equations until all but one member is known, and recovering a block
+can unlock the pending messages that contain it, recursively.
 """
 
 import numpy as np
 
-from codedgd import RecoveryState
+from codedgd import RecoveryState, block_mask
 
 K = 8
 stream = [
@@ -24,9 +25,9 @@ stream = [
 
 state = RecoveryState(K, tolerance=0.25)   # stop at ceil(0.75 * 8) = 6 blocks
 for members, t in stream:
-    newly = state.ingest(members)
+    newly = state.ingest(block_mask(members, K))
     print("t=%.2f ingest %-9s -> recovered %s  (total %d, pending %d)"
-          % (t, members, newly, len(state.recovered), len(state.pending)))
+          % (t, members, newly, state.n_recovered, len(state.pending)))
     if state.is_complete():
         print("target reached at t=%.2f" % t)
         break

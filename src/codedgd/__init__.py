@@ -5,7 +5,7 @@ from .ages import AgeTable
 from .codec import (AssignmentMatrix, OrderPolicy, apply_order, build_rcs,
                     encode, from_shifts, select_adaptive_shift,
                     shift_for_iteration)
-from .decoder import RecoveryState, recovery_target
+from .decoder import RecoveryState, block_mask, recovery_target
 from .experiments import (ExperimentConfig, PolicySpec, SweepResult,
                           emit_plotdata, preset_config, run_experiment,
                           table1_grid)

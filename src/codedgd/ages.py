@@ -39,8 +39,11 @@ class AgeTable:
 
 
 def write_ages_csv(table, path):
-    np.savetxt(path, table.history, fmt="%d", delimiter=",",
-               header=",".join("a_%d" % (k + 1) for k in range(table.n_blocks)), comments="")
+    history = table.history
+    header = ",".join("a_%d" % (k + 1) for k in range(table.n_blocks)) + "\n"
+    row = ",".join(["%d"] * table.n_blocks) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + row * len(history) % tuple(history.ravel().tolist()))
 
 
 def write_summary_csv(table, path, a_th):

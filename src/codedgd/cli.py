@@ -14,9 +14,9 @@ import os
 import sys
 from dataclasses import fields, replace
 
-from .experiments import (PRESETS, ExperimentConfig, PolicySpec, preset_config,
-                          run_experiment, table1_grid)
-from .problem import ConfigurationError
+from .experiments import (PRESETS, ExperimentConfig, PolicySpec, _problem_cache,
+                          preset_config, run_experiment, table1_grid)
+from .problem import ConfigurationError, largest_eigenvalue
 
 
 def parse_policy_token(token):
@@ -69,6 +69,21 @@ def parse_q_list(text):
     if any(not 0 <= q < 1 for q in q_values):
         raise ConfigurationError("--q values must lie in [0, 1), got %r" % text)
     return q_values
+
+
+def check_step_size(config):
+    """Reject an eta for which masked GD diverges: eta must be below 2 / lambda_max(W).
+
+    A masked step is a gradient step on the recovered blocks alone, whose
+    curvature lambda_max(W_SS) is at most W's, so below this one bound every
+    step lowers the training loss, whatever the recovery vector. The problem
+    comes from the experiment cache, so the runs (and pool workers forked
+    later) reuse it.
+    """
+    bound = 2 / largest_eigenvalue(_problem_cache(config).W)
+    if config.eta >= bound:
+        raise ConfigurationError("eta = %g makes masked GD diverge: it must be below "
+                                 "2 / lambda_max(W) = %.4g" % (config.eta, bound))
 
 
 def _default_out():
@@ -124,6 +139,7 @@ def main(argv=None):
             q_values = parse_q_list(args.q)
             for q in q_values:   # constructing each grid cell validates it
                 replace(config, q=q)
+        check_step_size(config)
     except (OSError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

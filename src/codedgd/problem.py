@@ -58,3 +58,15 @@ def full_gradient(problem, theta):
         raise ValueError("theta has shape %s, expected (%d,)" % (theta.shape, problem.d))
     return problem.W @ theta - problem.b
 
+
+def largest_eigenvalue(W):
+    """Estimate lambda_max of the symmetric PSD matrix W by 40 power-iteration steps.
+
+    The Rayleigh quotient approaches lambda_max from below, so a step-size
+    bound 2 / estimate is never tighter than the true 2 / lambda_max.
+    """
+    v = np.random.default_rng(0).standard_normal(W.shape[0])
+    for _ in range(40):
+        v = W @ v
+        v /= np.linalg.norm(v)
+    return float(v @ (W @ v))

@@ -2,8 +2,9 @@
 
 The recovery process (`simulate_recovery`) never reads the model. Each
 iteration it picks the vertical shift for the ordering policy, encodes, draws
-completion times, streams message indices into the peeling decoder in global
-time order until the tolerance target is met, and advances the age table.
+completion times, streams message block masks into the peeling decoder in
+global time order until the tolerance target is met, and advances the age
+table.
 It fills one row of the run's record table (a length-T `np.recarray`, one
 row per iteration) with the recovery vector r, the shift, the wall time and
 the message and block counts. The optimizer (`run_training`) is then masked
@@ -24,10 +25,10 @@ import numpy as np
 
 from . import codec, latency
 from .ages import AgeTable
-from .decoder import RecoveryState, recovery_target
+from .decoder import RecoveryState, block_mask, recovery_target
 from .problem import ConfigurationError
 
-EVAL_CHUNK = 32   # iterates per loss evaluation; its GEMM temporaries are n x EVAL_CHUNK
+EVAL_CHUNK = 128   # iterates per loss evaluation; its GEMM temporaries are n x EVAL_CHUNK
 
 
 @dataclass(frozen=True)
@@ -132,14 +133,15 @@ def simulate_recovery(config, assignment, rng):
     K), `shift_used`, `wall_time`, `n_ingested`, `recovered_count`, and
     `train_loss` and `test_loss`, which stay NaN until run_training fills
     them. Latency draws come from `rng`, in the order run_training uses.
-    Only M distinct shifts exist, so each shift's codewords are encoded once.
+    Only M distinct shifts exist, so each shift's codewords are encoded, and
+    range-checked into block masks, once.
     """
     k, n_workers = config.n_blocks, config.n_workers
     n_messages = len(config.degrees)
     ages = AgeTable(k)
     markov = config.profile.initial_markov()
     params = latency.worker_params(config.profile, n_workers, n_messages, markov)
-    codewords = {}   # shift -> block indices of each message, worker-major
+    codewords = {}   # shift -> block mask of each message, worker-major
     adaptive_shift = 0
     records = np.recarray(config.n_iterations, dtype=[
         ("r", np.int8, (k,)), ("shift_used", np.int64), ("wall_time", np.float64),
@@ -152,27 +154,28 @@ def simulate_recovery(config, assignment, rng):
             params = latency.worker_params(config.profile, n_workers, n_messages, markov)
         shift = codec.shift_for_iteration(config.policy, t, config.memory, adaptive_shift)
         if shift not in codewords:
-            codewords[shift] = codec.encode(codec.apply_order(assignment, shift), config.degrees)
-        members = codewords[shift]
+            codewords[shift] = [block_mask(members, k) for members in
+                                codec.encode(codec.apply_order(assignment, shift), config.degrees)]
+        masks = codewords[shift]
 
         # Stable on the worker-major flattening: equal times arrive in worker order.
         times = latency.sample_completion_times(params, rng).ravel()
         order = np.argsort(times, kind="stable").tolist()
         state = RecoveryState(k, config.q)
         for msg in order:
-            state.ingest(members[msg])
+            state.ingest(masks[msg])
             if state.is_complete():
                 break
         arrived = order[:state.n_ingested]
         wall_time = times[arrived[-1]] if arrived else 0.0
 
-        r, recovered = state.finalize()
+        r, _ = state.finalize()
         ages.update(r)
         if config.policy.kind == "adaptive":
             responsive = {msg // n_messages for msg in arrived}
             adaptive_shift = codec.select_adaptive_shift(
                 assignment, ages.current, config.policy.a_th, responsive)
-        records[t - 1] = (r, shift, wall_time, state.n_ingested, len(recovered), np.nan, np.nan)
+        records[t - 1] = (r, shift, wall_time, state.n_ingested, state.n_recovered, np.nan, np.nan)
 
     return records, ages
 

@@ -116,6 +116,7 @@ def test_bad_config_value_exits_2(tmp_path):
                                        ("n_stragglers = -3", "n_stragglers"),
                                        ("n_stragglers = 30", "n_stragglers"),
                                        ("eta = 0", "eta"),
+                                       ("eta = 100", "eta"),
                                        ("n_iterations = 0", "n_iterations"),
                                        ("profile = bogus", "profile"),
                                        ("n_workers = 1.5", "n_workers"),
@@ -126,7 +127,8 @@ def test_bad_config_value_exits_2(tmp_path):
                               "policy_a_th", "degree_zero", "n_train", "n_test", "d",
                               "noise_std", "duplicate_policy", "duplicate_adaptive",
                               "n_stragglers_negative", "n_stragglers_too_many", "eta",
-                              "n_iterations", "profile_kind", "n_workers_float", "seed"])
+                              "eta_unstable", "n_iterations", "profile_kind",
+                              "n_workers_float", "seed"])
 def test_invalid_config_fails_before_any_work(tmp_path, capsys, line, key):
     path = tmp_path / "bad.cfg"
     path.write_text(TINY_CONFIG + line + "\n")

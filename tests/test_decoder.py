@@ -1,9 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codedgd import RecoveryState, recovery_target
+from codedgd import RecoveryState, block_mask, recovery_target
 from codedgd.decoder import ProtocolError
 
 
@@ -11,16 +11,20 @@ def random_blocks(n_blocks, rows, rng):
     return rng.standard_normal((n_blocks, rows))
 
 
+def ingest(state, members):
+    return state.ingest(block_mask(members, state.n_blocks))
+
+
 def test_degree_one_recovers_immediately():
     state = RecoveryState(4, tolerance=0.0)
-    assert state.ingest([1]) == [1]
+    assert ingest(state, [1]) == [1]
     assert state.recovered == {1}
 
 
 def test_degree_two_peels_against_known_member():
     state = RecoveryState(12, tolerance=0.0)
-    state.ingest([3])
-    newly = state.ingest([3, 10])
+    ingest(state, [3])
+    newly = ingest(state, [3, 10])
     assert newly == [10]
     assert state.recovered == {3, 10}
 
@@ -33,21 +37,21 @@ def test_example_column_peels_sequentially():
     state = RecoveryState(20, tolerance=0.0)
     unlocked = []
     for ms in members:
-        unlocked += state.ingest(ms)
+        unlocked += ingest(state, ms)
     assert set(unlocked) == {0}
     assert len(state.pending) == 2
-    assert set(state.ingest([10])) == {10, 3}
-    assert state.ingest([5]) == [5]
-    assert set(state.ingest([17])) == {17, 14}
+    assert set(ingest(state, [10])) == {10, 3}
+    assert ingest(state, [5]) == [5]
+    assert set(ingest(state, [17])) == {17, 14}
     r, recovered = state.finalize()
     assert set(np.flatnonzero(r)) == recovered == {0, 3, 10, 14, 5, 17}
 
 
 def test_pending_cascade_across_equations():
     state = RecoveryState(5, tolerance=0.0)
-    assert state.ingest([0, 1]) == []
-    assert state.ingest([1, 2]) == []
-    newly = state.ingest([0])
+    assert ingest(state, [0, 1]) == []
+    assert ingest(state, [1, 2]) == []
+    newly = ingest(state, [0])
     assert set(newly) == {0, 1, 2}
 
 
@@ -62,16 +66,16 @@ def test_recovery_target_values():
 def test_is_complete_threshold():
     state = RecoveryState(40, tolerance=0.3)
     for k in range(27):
-        state.ingest([k])
+        ingest(state, [k])
         assert not state.is_complete()
-    state.ingest([27])
+    ingest(state, [27])
     assert state.is_complete()
 
 
 def test_finalize_all_and_none():
     full = RecoveryState(6, tolerance=0.0)
     for k in range(6):
-        full.ingest([k])
+        ingest(full, [k])
     r, recovered = full.finalize()
     assert np.all(r == 1) and recovered == set(range(6))
     empty = RecoveryState(6, tolerance=0.0)
@@ -81,17 +85,17 @@ def test_finalize_all_and_none():
 
 def test_duplicate_information_discarded():
     state = RecoveryState(3, tolerance=0.0)
-    state.ingest([0])
-    state.ingest([1])
-    assert state.ingest([0, 1]) == []
+    ingest(state, [0])
+    ingest(state, [1])
+    assert ingest(state, [0, 1]) == []
     assert len(state.pending) == 0
 
 
 def test_member_out_of_range_rejected():
-    state = RecoveryState(4, tolerance=0.0)
-    with pytest.raises(ProtocolError):
-        state.ingest((7,))
-    assert state.n_ingested == 0
+    assert block_mask((0, 3), 4) == 0b1001
+    for members in ((7,), (1, 4), (-1,)):
+        with pytest.raises(ProtocolError):
+            block_mask(members, 4)
 
 
 def gaussian_recoverable(equations, n_blocks):
@@ -115,7 +119,7 @@ def peel_fixpoint(equations, blocks):
     """Decoder state after ingesting every equation over len(blocks) blocks."""
     state = RecoveryState(len(blocks), tolerance=0.0)
     for members in equations:
-        state.ingest(members)
+        ingest(state, members)
     return state
 
 
@@ -166,11 +170,11 @@ def test_monotone_recovery_count():
     state = RecoveryState(n_blocks, tolerance=0.0)
     last = 0
     for members in equations:
-        state.ingest(members)
-        assert len(state.recovered) >= last
-        last = len(state.recovered)
-        for unresolved in state.pending:
-            assert len(unresolved) >= 2
+        ingest(state, members)
+        assert state.n_recovered >= last
+        last = state.n_recovered
+        for unresolved in state.pending.values():
+            assert unresolved.bit_count() >= 2 and not unresolved & state.known
 
 
 def test_soundness_of_decoded_vectors():
@@ -190,3 +194,75 @@ def test_soundness_of_decoded_vectors():
         solution, *_ = np.linalg.lstsq(a, a @ blocks, rcond=None)
         for k in state.recovered:
             assert np.allclose(solution[k], blocks[k], rtol=1e-9, atol=1e-9)
+
+
+class SetRecoveryState:
+    """The set-based decoder the bitset one replaced, kept as its oracle.
+
+    It rescans every pending equation for each recovered block.
+    """
+
+    def __init__(self, n_blocks, tolerance):
+        self.n_blocks = n_blocks
+        self.target = recovery_target(n_blocks, tolerance)
+        self.recovered = set()
+        self.pending = []              # sets of unresolved member indices
+        self.n_ingested = 0
+
+    def ingest(self, members):
+        members = set(members)
+        self.n_ingested += 1
+        unresolved = members - self.recovered
+        if not unresolved:
+            return []
+        if len(unresolved) > 1:
+            self.pending.append(unresolved)
+            return []
+        k = unresolved.pop()
+        self.recovered.add(k)
+        return [k] + self._cascade(k)
+
+    def _cascade(self, start):
+        queue = [start]
+        unlocked = []
+        while queue:
+            k = queue.pop()
+            still_pending = []
+            for unresolved in self.pending:
+                unresolved.discard(k)
+                if len(unresolved) > 1:
+                    still_pending.append(unresolved)
+                elif unresolved:
+                    j = unresolved.pop()
+                    if j not in self.recovered:
+                        self.recovered.add(j)
+                        unlocked.append(j)
+                        queue.append(j)
+            self.pending = still_pending
+        return unlocked
+
+
+@st.composite
+def message_streams(draw):
+    """A block count and an arrival sequence of member sets, repeats allowed."""
+    n_blocks = draw(st.one_of(st.integers(1, 12), st.integers(60, 70)))
+    members = st.sets(st.integers(0, n_blocks - 1), min_size=1, max_size=4)
+    return n_blocks, draw(st.lists(members, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(message_streams(), st.sampled_from([0.0, 0.25, 0.5]))
+def test_bitset_decoder_matches_set_oracle(stream, tolerance):
+    n_blocks, messages = stream
+    state, oracle = RecoveryState(n_blocks, tolerance), SetRecoveryState(n_blocks, tolerance)
+    for members in messages:
+        unlocked = ingest(state, members)
+        assert len(unlocked) == len(set(unlocked))
+        assert set(unlocked) == set(oracle.ingest(members))
+        assert len(state.pending) == len(oracle.pending)
+        assert state.n_ingested == oracle.n_ingested
+        assert state.n_recovered == len(oracle.recovered)
+        assert state.is_complete() == (len(oracle.recovered) >= oracle.target)
+    r, recovered = state.finalize()
+    assert r.dtype == np.int8 and r.shape == (n_blocks,)
+    assert recovered == oracle.recovered == set(np.flatnonzero(r).tolist())

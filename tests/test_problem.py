@@ -3,6 +3,7 @@ import pytest
 
 from codedgd import (ConfigurationError, ExperimentConfig, apply_partial_update,
                      evaluate, full_gradient, generate_problem, run_plain_gd)
+from codedgd.problem import largest_eigenvalue
 
 
 @pytest.fixture(scope="module")
@@ -15,6 +16,8 @@ def test_full_scale_instance_invariants():
     assert np.linalg.norm(p.b - p.X_train.T @ p.y_train) == 0.0
     eigs = np.linalg.eigvalsh(p.W)
     assert eigs.min() >= -1e-9 * eigs.max()
+    # power iteration approaches lambda_max from below, so 2 / estimate never rejects a stable eta
+    assert 0.98 * eigs.max() <= largest_eigenvalue(p.W) <= eigs.max() * (1 + 1e-12)
 
 
 def test_noiseless_labels_exact():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedgd import (OrderPolicy, RecoveryState, StragglerProfile, TrainConfig, build_rcs,
-                     simulate_recovery)
+from codedgd import (OrderPolicy, RecoveryState, StragglerProfile, TrainConfig, block_mask,
+                     build_rcs, encode, simulate_recovery)
 from codedgd.codec import POLICY_KINDS
 from codedgd.latency import PROFILE_KINDS
+from tests.test_decoder import gaussian_recoverable
 
 
 def ages_from_r(r):
@@ -64,7 +65,53 @@ def test_recovered_blocks_do_not_depend_on_arrival_order(case):
     def recovered(arrivals):
         state = RecoveryState(n_blocks, 0.0)
         for members in arrivals:
-            state.ingest(members)
+            state.ingest(block_mask(members, n_blocks))
         return state.finalize()[1]
 
     assert recovered(messages) == recovered(shuffled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_messages())
+def test_recovered_count_never_falls(case):
+    n_blocks, messages, _ = case
+    state = RecoveryState(n_blocks, 0.0)
+    count, known = 0, 0
+    for members in messages:
+        state.ingest(block_mask(members, n_blocks))
+        assert state.n_recovered >= count and state.known & known == known
+        count, known = state.n_recovered, state.known
+        assert state.n_recovered == len(state.finalize()[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_messages())
+def test_peeling_recovers_a_subset_of_gaussian_elimination(case):
+    n_blocks, messages, _ = case
+    state = RecoveryState(n_blocks, 0.0)
+    for members in messages:
+        state.ingest(block_mask(members, n_blocks))
+    assert state.finalize()[1] <= gaussian_recoverable(messages, n_blocks)
+
+
+@st.composite
+def coded_assignments(draw):
+    n_blocks = draw(st.integers(1, 12))
+    memory = draw(st.integers(1, n_blocks))
+    cuts = draw(st.sets(st.integers(1, memory - 1), max_size=memory - 1)) if memory > 1 else set()
+    bounds = [0] + sorted(cuts) + [memory]
+    degrees = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    matrix = build_rcs(n_blocks, draw(st.integers(1, 8)), memory, draw(st.integers(0, 2 ** 32 - 1)))
+    return matrix, degrees
+
+
+@settings(max_examples=200, deadline=None)
+@given(coded_assignments())
+def test_encode_covers_each_column_exactly_once(case):
+    matrix, degrees = case
+    messages = encode(matrix, degrees)
+    assert len(messages) == matrix.n_workers * len(degrees)
+    for worker in range(matrix.n_workers):
+        own = messages[worker * len(degrees):(worker + 1) * len(degrees)]
+        assert [len(m) for m in own] == list(degrees)
+        assert [k for m in own for k in m] == matrix.column(worker).tolist()

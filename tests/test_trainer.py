@@ -85,8 +85,10 @@ def test_evaluate_on_a_matrix_matches_column_calls():
         assert test[col] == pytest.approx(test_1d, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("n_iterations", [1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1,
-                                          2 * EVAL_CHUNK + 3])
+# Runs ending in one partial chunk of several widths, and runs on each side of
+# the chunk boundaries.
+@pytest.mark.parametrize("n_iterations", sorted({1, 31, 32, 33, 67, EVAL_CHUNK - 1, EVAL_CHUNK,
+                                                 EVAL_CHUNK + 1, 2 * EVAL_CHUNK + 3}))
 def test_chunked_losses_match_per_iteration_evaluate(desk_problem, n_iterations):
     # Replay masked GD from the recorded r, evaluating one iterate at a time.
     config = make_config(n_iterations=n_iterations, q=0.25, seed=5)
