@@ -13,12 +13,12 @@ K, W, M = 20, 20, 6
 matrix = build_rcs(K, W, M, seed=0)
 
 # worker 0's column starts at block 0, so it lists each row's circular shift
-print("row shifts:", matrix.column(0).tolist())
+print("row shifts:", matrix.entries[:, 0].tolist())
 print("assignment matrix (blocks, 0-based), first 8 workers:")
 print(matrix.entries[:, :8])
 
 worker = 0
-col = matrix.column(worker)
+col = matrix.entries[:, worker]
 print("\nworker %d holds blocks %s (top to bottom)" % (worker, col.tolist()))
 
 degrees = [1, 2, 3]
@@ -33,4 +33,4 @@ for ell, members in enumerate(messages):
 for shift in (0, 1, 3):
     shifted = apply_order(matrix, shift)
     print("shift %d -> worker %d column %s"
-          % (shift, worker, shifted.column(worker).tolist()))
+          % (shift, worker, shifted.entries[:, worker].tolist()))

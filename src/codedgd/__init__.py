@@ -12,8 +12,7 @@ from .experiments import (ExperimentConfig, PolicySpec, SweepResult,
 from .latency import (LatencyParams, MarkovStragglerModel, StragglerProfile,
                       completion_cdf, effective_params,
                       sample_completion_times, step_markov, worker_params)
-from .problem import (ConfigurationError, RegressionProblem, full_gradient,
-                      generate_problem)
+from .problem import ConfigurationError, RegressionProblem, generate_problem
 from .trainer import (TrainConfig, TrainResult, apply_partial_update, evaluate,
                       run_plain_gd, run_training, simulate_recovery)
 

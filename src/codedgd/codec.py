@@ -39,13 +39,6 @@ class AssignmentMatrix:
     def memory(self):
         return self.entries.shape[0]
 
-    @property
-    def n_workers(self):
-        return self.entries.shape[1]
-
-    def column(self, worker):
-        return self.entries[:, worker]
-
 
 def from_shifts(n_blocks, n_workers, shifts):
     """Assignment matrix whose row j holds (i + shifts[j]) mod K at column i."""

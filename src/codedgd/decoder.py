@@ -56,11 +56,6 @@ class RecoveryState:
         self._containing = {}          # block -> ids of the pending messages that contain it
         self.n_ingested = 0
 
-    @property
-    def recovered(self):
-        """The recovered block indices, as a set."""
-        return self.finalize()[1]
-
     def is_complete(self):
         return self.n_recovered >= self.target
 

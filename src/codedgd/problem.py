@@ -1,4 +1,4 @@
-"""Synthetic least-squares instance and its exact gradient."""
+"""Synthetic least-squares instance."""
 
 from dataclasses import dataclass
 
@@ -49,14 +49,6 @@ def generate_problem(n_train, n_test, d, noise_std=0.0, seed=0):
     W = X_train.T @ X_train
     b = X_train.T @ y_train
     return RegressionProblem(X_train, y_train, X_test, y_test, W, b, theta_star)
-
-
-def full_gradient(problem, theta):
-    """Exact gradient W @ theta - b."""
-    theta = np.asarray(theta)
-    if theta.shape != (problem.d,):
-        raise ValueError("theta has shape %s, expected (%d,)" % (theta.shape, problem.d))
-    return problem.W @ theta - problem.b
 
 
 def largest_eigenvalue(W):

@@ -180,13 +180,12 @@ def simulate_recovery(config, assignment, rng):
     return records, ages
 
 
-def run_training(problem, config, assignment=None):
+def run_training(problem, config):
     """Simulate the full training run described by `config`."""
     ss = np.random.SeedSequence(config.seed)
     rcs_seed, latency_seed = ss.spawn(2)
-    if assignment is None:
-        assignment = codec.build_rcs(config.n_blocks, config.n_workers, config.memory,
-                                     np.random.default_rng(rcs_seed))
+    assignment = codec.build_rcs(config.n_blocks, config.n_workers, config.memory,
+                                 np.random.default_rng(rcs_seed))
     records, ages = simulate_recovery(config, assignment, np.random.default_rng(latency_seed))
 
     theta = np.zeros(problem.d)

@@ -119,13 +119,13 @@ def test_decoder_oracle_equivalence():
     for _ in range(1000):
         n_blocks, equations = random_rcs_equations(rng)
         blocks = rng.standard_normal((n_blocks, 2))
-        reference = set(peel_fixpoint(equations, blocks).recovered)
+        reference = peel_fixpoint(equations, blocks).finalize()[1]
         perms = (itertools.permutations(equations) if len(equations) <= 4
                  else (rng.permutation(len(equations)) for _ in range(6)))
         for perm in perms:
             if isinstance(perm, np.ndarray):
                 perm = [equations[i] for i in perm]
-            if set(peel_fixpoint(list(perm), blocks).recovered) != reference:
+            if peel_fixpoint(list(perm), blocks).finalize()[1] != reference:
                 ok = False
         oracle = gaussian_recoverable(equations, n_blocks)
         ok = ok and reference <= oracle

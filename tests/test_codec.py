@@ -15,8 +15,8 @@ def example_matrix():
 
 
 def test_example_column(example_matrix):
-    assert list(example_matrix.column(0) + 1) == [1, 4, 11, 15, 6, 18]
-    assert list(example_matrix.column(1) + 1) == [2, 5, 12, 16, 7, 19]
+    assert list(example_matrix.entries[:, 0] + 1) == [1, 4, 11, 15, 6, 18]
+    assert list(example_matrix.entries[:, 1] + 1) == [2, 5, 12, 16, 7, 19]
 
 
 def test_single_row_identity_shift():
@@ -29,7 +29,7 @@ def test_build_rcs_deterministic_and_duplicate_free():
     b = build_rcs(40, 40, 6, seed=123)
     assert np.array_equal(a.entries, b.entries)
     for i in range(40):
-        col = a.column(i)
+        col = a.entries[:, i]
         assert len(set(col)) == 6
     # each submatrix index appears in exactly M columns
     counts = np.bincount(a.entries.reshape(-1), minlength=40)
@@ -43,9 +43,9 @@ def test_build_rcs_memory_too_large():
 
 def test_apply_order_worked_examples(example_matrix):
     one = apply_order(example_matrix, 1)
-    assert list(one.column(0) + 1) == [4, 11, 15, 6, 18, 1]
+    assert list(one.entries[:, 0] + 1) == [4, 11, 15, 6, 18, 1]
     three = apply_order(example_matrix, 3)
-    assert list(three.column(0) + 1) == [15, 6, 18, 1, 4, 11]
+    assert list(three.entries[:, 0] + 1) == [15, 6, 18, 1, 4, 11]
     same = apply_order(example_matrix, 0)
     assert np.array_equal(same.entries, example_matrix.entries)
 
@@ -91,7 +91,7 @@ def test_encode_uncoded_mode():
 
 def test_encode_single_codeword(example_matrix):
     messages = encode(example_matrix, (6,))
-    assert all(set(s) == set(example_matrix.column(i)) for i, s in enumerate(messages))
+    assert all(set(s) == set(example_matrix.entries[:, i]) for i, s in enumerate(messages))
 
 
 def test_encode_degree_mismatch(example_matrix):
@@ -109,7 +109,7 @@ def test_encode_coverage_and_disjointness():
         for i in range(12):
             groups = [set(s) for s in messages[3 * i:3 * i + 3]]
             union = set().union(*groups)
-            assert union == set(mat.column(i))
+            assert union == set(mat.entries[:, i])
             assert sum(len(g) for g in groups) == len(union)
 
 

@@ -18,7 +18,7 @@ def ingest(state, members):
 def test_degree_one_recovers_immediately():
     state = RecoveryState(4, tolerance=0.0)
     assert ingest(state, [1]) == [1]
-    assert state.recovered == {1}
+    assert state.finalize()[1] == {1}
 
 
 def test_degree_two_peels_against_known_member():
@@ -26,7 +26,7 @@ def test_degree_two_peels_against_known_member():
     ingest(state, [3])
     newly = ingest(state, [3, 10])
     assert newly == [10]
-    assert state.recovered == {3, 10}
+    assert state.finalize()[1] == {3, 10}
 
 
 def test_example_column_peels_sequentially():
@@ -153,11 +153,11 @@ def test_peeling_vs_gaussian_oracle_and_order_insensitivity():
     for _ in range(200):
         n_blocks, equations = random_rcs_equations(rng)
         blocks = random_blocks(n_blocks, 2, rng)
-        reference = set(peel_fixpoint(equations, blocks).recovered)
+        reference = peel_fixpoint(equations, blocks).finalize()[1]
         for _ in range(4):
             perm = list(equations)
             rng.shuffle(perm)
-            assert set(peel_fixpoint(perm, blocks).recovered) == reference
+            assert peel_fixpoint(perm, blocks).finalize()[1] == reference
         oracle = gaussian_recoverable(equations, n_blocks)
         assert reference <= oracle
         total += 1
@@ -186,13 +186,13 @@ def test_soundness_of_decoded_vectors():
         blocks = random_blocks(n_blocks, 3, rng)
         state = peel_fixpoint(equations, blocks)
         if not equations:
-            assert state.recovered == set()
+            assert state.finalize()[1] == set()
             continue
         a = np.zeros((len(equations), n_blocks))
         for row, members in enumerate(equations):
             a[row, list(members)] = 1.0
         solution, *_ = np.linalg.lstsq(a, a @ blocks, rcond=None)
-        for k in state.recovered:
+        for k in state.finalize()[1]:
             assert np.allclose(solution[k], blocks[k], rtol=1e-9, atol=1e-9)
 
 

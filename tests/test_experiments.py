@@ -186,3 +186,10 @@ def test_objective_zero_when_threshold_huge():
 def test_table1_rejects_bad_tolerances():
     with pytest.raises(ConfigurationError):
         table1_grid(tiny_config(), [0.5, 1.0])
+
+
+def test_table1_grid_defaults_to_the_config_threshold():
+    cfg = tiny_config(a_th=3, replicas=1)
+    default = table1_grid(cfg, [0.25])
+    assert default == table1_grid(cfg, [0.25], a_th=3)
+    assert default != table1_grid(cfg, [0.25], a_th=2)
