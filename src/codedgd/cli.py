@@ -139,6 +139,8 @@ def main(argv=None):
             q_values = parse_q_list(args.q)
             for q in q_values:   # constructing each grid cell validates it
                 replace(config, q=q)
+        if args.jobs < 1:
+            raise ConfigurationError("--jobs must be >= 1, got %d" % args.jobs)
         check_step_size(config)
     except (OSError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)

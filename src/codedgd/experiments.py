@@ -185,8 +185,9 @@ def run_experiment(config, n_jobs=1, write_files=True):
     for p_idx, policy in enumerate(config.policies):
         for rep in range(config.replicas):
             tasks.append((config, policy, run_seed(config.seed, p_idx, rep)))
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    n_workers = min(n_jobs, len(tasks))   # the pool forks all of its workers up front
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outputs = list(pool.map(_execute_run, tasks, chunksize=1))
     else:
         outputs = [_execute_run(t) for t in tasks]

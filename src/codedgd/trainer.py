@@ -11,6 +11,8 @@ the message and block counts. The optimizer (`run_training`) is then masked
 gradient descent over the table's r column:
 theta <- theta - eta * r (.) (W theta - b), with r repeated over the d/K
 coordinates of each block, and it writes the losses into the same table.
+Each step's W theta - b is one BLAS dsymv (`problem.symv`), which reads one
+triangle of the symmetric W instead of all d^2 entries.
 
 The losses never feed back into either part, so they are evaluated over the
 trajectory, not per step: each theta_t is copied into a d x EVAL_CHUNK buffer,
@@ -26,7 +28,7 @@ import numpy as np
 from . import codec, latency
 from .ages import AgeTable
 from .decoder import RecoveryState, block_mask, recovery_target
-from .problem import ConfigurationError
+from .problem import ConfigurationError, symv
 
 EVAL_CHUNK = 128   # iterates per loss evaluation; its GEMM temporaries are n x EVAL_CHUNK
 
@@ -107,8 +109,11 @@ def evaluate(theta, problem):
 
 
 def apply_partial_update(theta, r, problem, eta):
-    """Gradient step on recovered blocks only; unrecovered coordinates freeze."""
-    return theta - eta * np.repeat(r, problem.d // len(r)) * (problem.W @ theta - problem.b)
+    """Gradient step on recovered blocks only; unrecovered coordinates freeze.
+
+    The gradient W @ theta - b is one symmetric mat-vec (`problem.symv`).
+    """
+    return theta - eta * np.repeat(r, problem.d // len(r)) * symv(problem.W, theta, problem.b)
 
 
 def run_plain_gd(problem, eta, n_iterations):
@@ -116,7 +121,7 @@ def run_plain_gd(problem, eta, n_iterations):
     theta = np.zeros(problem.d)
     trajectory = [theta.copy()]
     for _ in range(n_iterations):
-        theta = theta - eta * (problem.W @ theta - problem.b)
+        theta = theta - eta * symv(problem.W, theta, problem.b)
         trajectory.append(theta.copy())
     losses = []
     for start in range(1, n_iterations + 1, EVAL_CHUNK):

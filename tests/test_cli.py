@@ -138,6 +138,18 @@ def test_invalid_config_fails_before_any_work(tmp_path, capsys, line, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, jobs", [("run", "0"), ("run", "-2"), ("table1", "0")],
+                         ids=["jobs_zero", "jobs_negative", "table1_jobs_zero"])
+def test_bad_jobs_fails_before_any_work(tmp_path, capsys, command, jobs):
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY_CONFIG)
+    out = tmp_path / "o"
+    args = ["--config", str(path)] if command == "run" else ["--q", "0.3", "--replicas", "1"]
+    assert main([command, *args, "--jobs", jobs, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_output_tree_does_not_depend_on_jobs(tmp_path):
     # Two replicas over more than two loss-evaluation chunks, in one process and in the pool.
     path = tmp_path / "exp.cfg"

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from codedgd import experiments
 from codedgd.experiments import (ExperimentConfig, PolicySpec, emit_plotdata,
                                  preset_config, run_experiment, run_seed,
                                  table1_grid, SweepResult)
@@ -193,3 +194,31 @@ def test_table1_grid_defaults_to_the_config_threshold():
     default = table1_grid(cfg, [0.25])
     assert default == table1_grid(cfg, [0.25], a_th=3)
     assert default != table1_grid(cfg, [0.25], a_th=2)
+
+
+def test_pool_is_capped_at_the_task_count(monkeypatch):
+    # Records the pool size and runs the tasks inline: no process is started.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    cfg = tiny_config(replicas=1)
+    pooled = run_experiment(cfg, n_jobs=64, write_files=False)
+    assert sizes == [3]   # 3 policies x 1 replica
+    serial = run_experiment(cfg, n_jobs=1, write_files=False)
+    assert sizes == [3]
+    for name in serial.policy_names():
+        for a, b in zip(pooled.runs[name], serial.runs[name]):
+            assert a.records.tobytes() == b.records.tobytes()

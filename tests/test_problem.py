@@ -3,7 +3,8 @@ import pytest
 
 from codedgd import (ConfigurationError, ExperimentConfig, apply_partial_update,
                      evaluate, generate_problem, run_plain_gd)
-from codedgd.problem import largest_eigenvalue
+from codedgd import problem as problem_mod
+from codedgd.problem import RegressionProblem, largest_eigenvalue, symv
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +125,73 @@ def test_partition_reconstructs_matvec():
 def test_partition_requires_divisibility():
     with pytest.raises(ConfigurationError, match="n_blocks"):
         ExperimentConfig(d=10, n_blocks=3)
+
+
+# symv reads only the lower triangle of W, so W must be exactly symmetric.
+
+@pytest.mark.parametrize("d", [1, 8, 20, 1000])
+def test_generated_gram_matrix_is_symmetric_and_c_contiguous(d):
+    p = generate_problem(2 * d, 4, d, noise_std=0.1, seed=d)
+    assert np.array_equal(p.W, p.W.T)
+    assert p.W.flags.c_contiguous and p.W.dtype == np.float64
+
+
+@pytest.mark.parametrize("d", [1, 8, 20, 1000])
+def test_symv_matches_matvec(d):
+    p = generate_problem(2 * d, 4, d, noise_std=0.1, seed=d)
+    b_before = p.b.copy()
+    rng = np.random.default_rng(d)
+    stacked = rng.standard_normal((d, 3))
+    xs = {"c_order_column": stacked[:, 1],              # strided view of a C-order matrix
+          "f_order_column": np.asfortranarray(stacked)[:, 1],
+          "integer": rng.integers(-5, 6, size=d)}
+    for name, x in xs.items():
+        x_before = x.copy()
+        expected = p.W @ x - p.b
+        got = symv(p.W, x, p.b)
+        assert got.dtype == np.float64 and got.shape == (d,)
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()), name
+        assert np.array_equal(x, x_before) and x.dtype == x_before.dtype, name
+        assert got is not p.b
+    assert np.array_equal(p.b, b_before)
+
+
+def test_numpy_openblas64_exports_dsymv():
+    # numpy wheels link scipy-openblas built with 64-bit integers; only another BLAS may lack it.
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas" or "USE64BITINT" not in blas.get(
+            "openblas configuration", ""):
+        pytest.skip("numpy is not linked against scipy-openblas64")
+    assert problem_mod._DSYMV is not None
+
+
+def test_symv_fallback_is_the_plain_matvec(monkeypatch):
+    p = generate_problem(40, 4, 20, noise_std=0.1, seed=4)
+    x = np.random.default_rng(0).standard_normal(20)
+    monkeypatch.setattr(problem_mod, "_DSYMV", None)
+    assert np.array_equal(symv(p.W, x, p.b), p.W @ x - p.b)
+    theta = apply_partial_update(x, np.ones(4, dtype=np.int8), p, 0.1)
+    assert np.array_equal(theta, x - 0.1 * np.ones(20) * (p.W @ x - p.b))
+
+
+@pytest.mark.parametrize("layout", ["fortran_order", "strided", "float32"])
+def test_symv_rejects_a_w_it_cannot_read(layout):
+    p = generate_problem(40, 4, 20, noise_std=0.1, seed=4)
+    W = {"fortran_order": np.asfortranarray(p.W),
+         "strided": np.repeat(p.W, 2, axis=1)[:, ::2],
+         "float32": p.W.astype(np.float32)}[layout]
+    hand_built = RegressionProblem(p.X_train, p.y_train, p.X_test, p.y_test, W, p.b,
+                                   p.theta_star)
+    theta = np.random.default_rng(0).standard_normal(20)
+    with pytest.raises(ConfigurationError, match="C-contiguous float64"):
+        apply_partial_update(theta, np.ones(4, dtype=np.int8), hand_built, 0.1)
+    with pytest.raises(ConfigurationError, match="C-contiguous float64"):
+        largest_eigenvalue(W)
+
+
+def test_symv_rejects_mismatched_vectors():
+    p = generate_problem(40, 4, 20, noise_std=0.1, seed=4)
+    with pytest.raises(ConfigurationError, match="length-d"):
+        symv(p.W, np.ones(19), p.b)
+    with pytest.raises(ConfigurationError, match="length-d"):
+        symv(p.W, np.ones(20), p.b[:10])
