@@ -63,8 +63,8 @@ class ExperimentConfig:
                 raise ConfigurationError("%s must be >= 1, got %d" % (key, getattr(self, key)))
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0, got %d" % self.seed)
-        if self.noise_std < 0:
-            raise ConfigurationError("noise_std must be >= 0, got %g" % self.noise_std)
+        if not 0 <= self.noise_std < np.inf:
+            raise ConfigurationError("noise_std must be finite and >= 0, got %g" % self.noise_std)
         if self.n_blocks < 1 or self.d % self.n_blocks != 0:
             raise ConfigurationError("n_blocks=%d does not divide d=%d" % (self.n_blocks, self.d))
         if not 0 <= self.n_stragglers <= self.n_workers:

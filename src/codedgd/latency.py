@@ -27,11 +27,12 @@ class LatencyParams:
 
 
 def sample_completion_times(params, rng):
-    """Completion times T_1 < ... < T_L of one iteration.
+    """Completion times T_1 < ... < T_L, one Y ~ Exp(mu) per entry of mu.
 
-    Scalar params give one worker's L times. Array params give an N x L array
-    from a single vectorised draw, which takes the same values from `rng`,
-    in worker order, as N scalar draws and leaves it in the same state.
+    Scalar params give one worker's L times. Array params give `mu.shape + (L,)`
+    from one draw: N x L for per-worker arrays, T x N x L for `mu` broadcast to
+    (T, N). It takes the same values from `rng`, iteration by iteration and
+    worker by worker, as the scalar draws, and leaves it in the same state.
     """
     y = rng.exponential(1.0 / params.mu)
     return np.multiply.outer(params.alpha + y, np.arange(1, params.n_messages + 1))
@@ -84,11 +85,11 @@ class StragglerProfile:
         if self.kind not in PROFILE_KINDS:
             raise ConfigurationError("profile kind must be one of %s, got %r"
                                      % (", ".join(PROFILE_KINDS), self.kind))
-        if not self.mu > 0:
-            raise ConfigurationError("mu must be > 0, got %g" % self.mu)
+        if not 0 < self.mu < np.inf:
+            raise ConfigurationError("mu must be finite and > 0, got %g" % self.mu)
         for key in ("alpha", "alpha_straggler"):
-            if not getattr(self, key) >= 0:
-                raise ConfigurationError("%s must be >= 0, got %g" % (key, getattr(self, key)))
+            if not 0 <= getattr(self, key) < np.inf:
+                raise ConfigurationError("%s = %g is not in [0, inf)" % (key, getattr(self, key)))
         if self.kind == "markov":
             if not self.mu > self.mu_slow > 0:
                 raise ConfigurationError("markov profile needs mu > mu_slow > 0, got mu=%g "

@@ -1,14 +1,14 @@
 """Parameter-server training over simulated coded workers, in two parts.
 
-The recovery process (`simulate_recovery`) never reads the model. Each
-iteration it picks the vertical shift for the ordering policy, encodes, draws
-completion times, streams message block masks into the peeling decoder in
-global time order until the tolerance target is met, and advances the age
-table.
-It fills one row of the run's record table (a length-T `np.recarray`, one
-row per iteration) with the recovery vector r, the shift, the wall time and
-the message and block counts. The optimizer (`run_training`) is then masked
-gradient descent over the table's r column:
+The recovery process (`simulate_recovery`) never reads the model, and its
+latency draws read neither the shift nor the decoder, so it draws every
+iteration's completion times and arrival orders up front. Each iteration then
+picks the vertical shift for the ordering policy, encodes, streams message
+block masks into the peeling decoder in arrival order until the tolerance
+target is met, and advances the age table. The run's record table (a length-T
+`np.recarray`, one row per iteration) gets the recovery vector r, the shift,
+the wall time and the message and block counts. The optimizer (`run_training`)
+is then masked gradient descent over the table's r column:
 theta <- theta - eta * r (.) (W theta - b), with r repeated over the d/K
 coordinates of each block, and it writes the losses into the same table.
 Each step's W theta - b is one BLAS dsymv (`problem.symv`), which reads one
@@ -21,7 +21,7 @@ and each full buffer, plus the partial one at the end of the run, costs one
 boundaries depend on the iteration count alone.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,51 +137,64 @@ def simulate_recovery(config, assignment, rng):
     `np.recarray` with one row per iteration: the recovery vector `r` (int8,
     K), `shift_used`, `wall_time`, `n_ingested`, `recovered_count`, and
     `train_loss` and `test_loss`, which stay NaN until run_training fills
-    them. Latency draws come from `rng`, in the order run_training uses.
+    them. All T iterations' completion times are drawn from `rng` before the
+    loop, as per-iteration draws would take them: one draw over a (T, N)
+    scale for a fixed profile, or a Markov step and a draw per iteration.
     Only M distinct shifts exist, so each shift's codewords are encoded, and
     range-checked into block masks, once.
     """
-    k, n_workers = config.n_blocks, config.n_workers
+    k, n_workers, n_iter = config.n_blocks, config.n_workers, config.n_iterations
     n_messages = len(config.degrees)
-    ages = AgeTable(k)
     markov = config.profile.initial_markov()
-    params = latency.worker_params(config.profile, n_workers, n_messages, markov)
+    if markov is None:
+        params = latency.worker_params(config.profile, n_workers, n_messages)
+        times = latency.sample_completion_times(
+            replace(params, mu=np.broadcast_to(params.mu, (n_iter, n_workers))), rng)
+    else:
+        times = np.empty((n_iter, n_workers, n_messages))
+        for row in times:
+            markov = latency.step_markov(markov, rng)
+            row[:] = latency.sample_completion_times(
+                latency.worker_params(config.profile, n_workers, n_messages, markov), rng)
+    # Stable on the worker-major flattening: equal times arrive in worker order.
+    times = times.reshape(n_iter, -1)
+    arrivals = np.argsort(times, axis=1, kind="stable").tolist()
+
+    ages = AgeTable(k)
+    target = recovery_target(k, config.q)
     codewords = {}   # shift -> block mask of each message, worker-major
     adaptive_shift = 0
-    records = np.recarray(config.n_iterations, dtype=[
+    records = np.recarray(n_iter, dtype=[
         ("r", np.int8, (k,)), ("shift_used", np.int64), ("wall_time", np.float64),
         ("n_ingested", np.int64), ("recovered_count", np.int64),
         ("train_loss", np.float64), ("test_loss", np.float64)])
-
-    for t in range(1, config.n_iterations + 1):
-        if markov is not None:
-            markov = latency.step_markov(markov, rng)
-            params = latency.worker_params(config.profile, n_workers, n_messages, markov)
+    r_column, columns = records.r, []   # columns: shift, wall time, n_ingested, recovered
+    for t, order in enumerate(arrivals, 1):
         shift = codec.shift_for_iteration(config.policy, t, config.memory, adaptive_shift)
         if shift not in codewords:
             codewords[shift] = [block_mask(members, k) for members in
                                 codec.encode(codec.apply_order(assignment, shift), config.degrees)]
         masks = codewords[shift]
 
-        # Stable on the worker-major flattening: equal times arrive in worker order.
-        times = latency.sample_completion_times(params, rng).ravel()
-        order = np.argsort(times, kind="stable").tolist()
         state = RecoveryState(k, config.q)
-        for msg in order:
+        for msg in order[:target - 1]:   # n messages recover at most n blocks
             state.ingest(masks[msg])
-            if state.is_complete():
+        for msg in order[target - 1:]:
+            state.ingest(masks[msg])
+            if state.n_recovered >= target:
                 break
-        arrived = order[:state.n_ingested]
-        wall_time = times[arrived[-1]] if arrived else 0.0
-
-        r, _ = state.finalize()
-        ages.update(r)
+        n = state.n_ingested
+        r_column[t - 1], _ = state.finalize()
+        ages.update(r_column[t - 1])
         if config.policy.kind == "adaptive":
-            responsive = {msg // n_messages for msg in arrived}
+            responsive = {msg // n_messages for msg in order[:n]}
             adaptive_shift = codec.select_adaptive_shift(
                 assignment, ages.current, config.policy.a_th, responsive)
-        records[t - 1] = (r, shift, wall_time, state.n_ingested, state.n_recovered, np.nan, np.nan)
+        columns.append((shift, times[t - 1, order[n - 1]] if n else 0.0, n, state.n_recovered))
 
+    (records.shift_used, records.wall_time, records.n_ingested,
+     records.recovered_count) = zip(*columns)
+    records.train_loss = records.test_loss = np.nan
     return records, ages
 
 

@@ -111,6 +111,11 @@ def test_bad_config_value_exits_2(tmp_path):
                                        ("n_test = 0", "n_test"),
                                        ("d = 0", "d must"),
                                        ("noise_std = -1", "noise_std"),
+                                       ("noise_std = nan", "noise_std"),
+                                       ("noise_std = inf", "noise_std"),
+                                       ("mu = inf", "mu"),
+                                       ("alpha = inf", "alpha"),
+                                       ("alpha_straggler = inf", "alpha_straggler"),
                                        ("policies = rcs,rcs", "policies"),
                                        ("policies = adaptive:2,adaptive:02", "policies"),
                                        ("n_stragglers = -3", "n_stragglers"),
@@ -125,7 +130,8 @@ def test_bad_config_value_exits_2(tmp_path):
                               "alpha_straggler", "markov_mu_slow", "markov_p",
                               "unreachable_target", "no_workers", "a_th",
                               "policy_a_th", "degree_zero", "n_train", "n_test", "d",
-                              "noise_std", "duplicate_policy", "duplicate_adaptive",
+                              "noise_std", "noise_std_nan", "noise_std_inf", "mu_inf",
+                              "alpha_inf", "alpha_straggler_inf", "duplicate_policy", "duplicate_adaptive",
                               "n_stragglers_negative", "n_stragglers_too_many", "eta",
                               "eta_unstable", "n_iterations", "profile_kind",
                               "n_workers_float", "seed"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -133,10 +135,12 @@ STREAM_PROFILES = {
 @pytest.mark.parametrize("n_workers", [12, 9])
 def test_vectorised_draw_matches_scalar_loop(kind, n_workers):
     # One array draw per iteration must take exactly the scalar loop's values
-    # and leave the generator where the loop leaves it.
+    # and leave the generator where the loop leaves it. Without a Markov
+    # state, so must one draw of all 20 iterations over a broadcast mu.
     profile = STREAM_PROFILES[kind]
     vec_rng, loop_rng = np.random.default_rng(8), np.random.default_rng(8)
     vec_markov = loop_markov = profile.initial_markov()
+    draws = []
     for _ in range(20):
         if vec_markov is not None:
             vec_markov = step_markov(vec_markov, vec_rng)
@@ -147,6 +151,15 @@ def test_vectorised_draw_matches_scalar_loop(kind, n_workers):
                                                  loop_rng) for i in range(n_workers)])
         assert vec.shape == (n_workers, 3)
         assert np.array_equal(vec, loop)
+        draws.append(vec)
+    if kind != "markov":
+        hoisted_rng = np.random.default_rng(8)
+        params = worker_params(profile, n_workers, 3)
+        hoisted = sample_completion_times(
+            replace(params, mu=np.broadcast_to(params.mu, (20, n_workers))), hoisted_rng)
+        assert hoisted.shape == (20, n_workers, 3)
+        assert np.array_equal(hoisted, np.array(draws))
+        assert hoisted_rng.bit_generator.state == vec_rng.bit_generator.state
     assert vec_rng.random() == loop_rng.random()
 
 

@@ -1,11 +1,14 @@
+import collections
 import hashlib
 
 import numpy as np
 import pytest
 
 from codedgd import (ConfigurationError, OrderPolicy, StragglerProfile, TrainConfig,
-                     apply_partial_update, evaluate, generate_problem, run_plain_gd,
-                     run_training)
+                     apply_partial_update, build_rcs, codec, evaluate, generate_problem,
+                     latency, run_plain_gd, run_training, simulate_recovery)
+from codedgd.ages import AgeTable
+from codedgd.decoder import RecoveryState, block_mask
 from codedgd.experiments import preset_config, run_seed
 from codedgd.trainer import EVAL_CHUNK, write_metrics_csv
 
@@ -343,3 +346,109 @@ def test_differential_against_value_level_decoder():
         assert got_digest == digest, label
         assert got_train == pytest.approx(train, rel=1e-12, abs=0), label
         assert got_test == pytest.approx(test, rel=1e-12, abs=0), label
+
+
+# The recovery loop as it was before a run's latencies were drawn up front:
+# per iteration, a Markov step, a draw, an argsort and a completion test after
+# every ingest. simulate_recovery must reproduce it bit for bit, and leave the
+# generator in the same state.
+
+def per_iteration_recovery(config, assignment, rng):
+    k, n_workers = config.n_blocks, config.n_workers
+    n_messages = len(config.degrees)
+    ages = AgeTable(k)
+    markov = config.profile.initial_markov()
+    params = latency.worker_params(config.profile, n_workers, n_messages, markov)
+    codewords = {}
+    adaptive_shift = 0
+    records = np.recarray(config.n_iterations, dtype=[
+        ("r", np.int8, (k,)), ("shift_used", np.int64), ("wall_time", np.float64),
+        ("n_ingested", np.int64), ("recovered_count", np.int64),
+        ("train_loss", np.float64), ("test_loss", np.float64)])
+    for t in range(1, config.n_iterations + 1):
+        if markov is not None:
+            markov = latency.step_markov(markov, rng)
+            params = latency.worker_params(config.profile, n_workers, n_messages, markov)
+        shift = codec.shift_for_iteration(config.policy, t, config.memory, adaptive_shift)
+        if shift not in codewords:
+            codewords[shift] = [block_mask(members, k) for members in
+                                codec.encode(codec.apply_order(assignment, shift), config.degrees)]
+        masks = codewords[shift]
+        times = latency.sample_completion_times(params, rng).ravel()
+        order = np.argsort(times, kind="stable").tolist()
+        state = RecoveryState(k, config.q)
+        for msg in order:
+            state.ingest(masks[msg])
+            if state.is_complete():
+                break
+        arrived = order[:state.n_ingested]
+        wall_time = times[arrived[-1]] if arrived else 0.0
+        r, _ = state.finalize()
+        ages.update(r)
+        if config.policy.kind == "adaptive":
+            responsive = {msg // n_messages for msg in arrived}
+            adaptive_shift = codec.select_adaptive_shift(
+                assignment, ages.current, config.policy.a_th, responsive)
+        records[t - 1] = (r, shift, wall_time, state.n_ingested, state.n_recovered, np.nan, np.nan)
+    return records, ages
+
+
+# Stragglers on both sides of n_workers = 13, so the profile covers workers the run drops.
+WIDER_PROFILES = {
+    "homogeneous": StragglerProfile("homogeneous", 20, mu=10.0, alpha=0.01),
+    "persistent": StragglerProfile("persistent", 20, mu=10.0, alpha=0.01,
+                                   persistent_set=frozenset({0, 5, 15, 19}),
+                                   alpha_straggler=10.0),
+    "markov": StragglerProfile("markov", 20, mu=10.0, alpha=0.01, p=0.2, mu_slow=2.0,
+                               initial_slow=frozenset({1, 14, 18})),
+}
+
+
+def oracle_configs():
+    configs = {}
+    for i, (policy, profile, q) in enumerate(
+            (p, f, q) for p in GRID_POLICIES for f in GRID_PROFILES for q in (0.1, 0.3)):
+        configs["%s/%s/q=%g" % (policy, profile, q)] = make_config(
+            n_blocks=20, n_workers=20, n_iterations=60, q=q, policy=GRID_POLICIES[policy],
+            degrees=(1, 2, 3), profile=GRID_PROFILES[profile], seed=300 + i)
+    for i, (name, profile) in enumerate(WIDER_PROFILES.items()):
+        configs["wider/" + name] = make_config(
+            n_blocks=20, n_workers=13, n_iterations=60, q=0.2, policy=GRID_POLICIES["adaptive"],
+            degrees=(1, 2, 3), profile=profile, seed=400 + i)
+    configs["exhausted"] = make_config(n_blocks=4, n_workers=2, n_iterations=3, q=0.0,
+                                       degrees=(1,), seed=1)
+    return configs
+
+
+ORACLE_CONFIGS = oracle_configs()
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_CONFIGS))
+def test_hoisted_recovery_matches_per_iteration_loop(label):
+    config = ORACLE_CONFIGS[label]
+    assignment = build_rcs(config.n_blocks, config.n_workers, config.memory, seed=config.seed)
+    new_rng, old_rng = np.random.default_rng(config.seed), np.random.default_rng(config.seed)
+    records, ages = simulate_recovery(config, assignment, new_rng)
+    want_records, want_ages = per_iteration_recovery(config, assignment, old_rng)
+    assert records.tobytes() == want_records.tobytes()
+    assert np.array_equal(ages.history, want_ages.history)
+    assert new_rng.random() == old_rng.random()
+
+
+@pytest.mark.parametrize("profile", sorted(GRID_PROFILES))
+def test_traced_decoder_and_age_calls_per_run(monkeypatch, profile):
+    # perfbench's per-layer counts wrap these names; the loop must keep calling them.
+    calls = collections.Counter()
+    for owner, name in ((RecoveryState, "ingest"), (RecoveryState, "finalize"),
+                        (AgeTable, "update")):
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    config = make_config(n_blocks=20, n_workers=20, n_iterations=40, q=0.3,
+                         policy=GRID_POLICIES["adaptive"], degrees=(1, 2, 3),
+                         profile=GRID_PROFILES[profile], seed=5)
+    assignment = build_rcs(config.n_blocks, config.n_workers, config.memory, seed=5)
+    records, _ = simulate_recovery(config, assignment, np.random.default_rng(5))
+    assert calls["ingest"] == records.n_ingested.sum() > 0
+    assert calls["finalize"] == calls["update"] == config.n_iterations
