@@ -2,9 +2,8 @@
 and age-based dynamic computation ordering."""
 
 from .ages import AgeTable
-from .codec import (AssignmentMatrix, OrderPolicy, apply_order, build_rcs,
-                    encode, from_shifts, select_adaptive_shift,
-                    shift_for_iteration)
+from .codec import (OrderPolicy, apply_order, build_rcs, encode, from_shifts,
+                    select_adaptive_shift, shift_for_iteration)
 from .decoder import RecoveryState, block_mask, recovery_target
 from .experiments import (ExperimentConfig, PolicySpec, SweepResult,
                           emit_plotdata, preset_config, run_experiment,

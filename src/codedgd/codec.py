@@ -1,6 +1,8 @@
 """Circularly shifted assignment matrices, ordering policies, and encoding.
 
-Block indices are 0-based.
+An assignment matrix is a read-only (M, N) int array of 0-based block
+indices: row j is (0, 1, ..., K-1) circularly shifted by matrix[j, 0], and
+no column repeats a block index because the shifts are pairwise distinct.
 """
 
 from dataclasses import dataclass
@@ -24,31 +26,15 @@ class OrderPolicy:
             raise ConfigurationError("adaptive policy needs a_th >= 1")
 
 
-@dataclass(frozen=True)
-class AssignmentMatrix:
-    """memory x n_workers grid of block indices.
-
-    Row j is (0, 1, ..., K-1) circularly shifted by entries[j, 0]; no
-    column repeats a block index because the shifts are pairwise distinct.
-    """
-
-    entries: np.ndarray
-    n_blocks: int
-
-    @property
-    def memory(self):
-        return self.entries.shape[0]
-
-
 def from_shifts(n_blocks, n_workers, shifts):
     """Assignment matrix whose row j holds (i + shifts[j]) mod K at column i."""
     shifts = tuple(int(s) for s in shifts)
     if len(set(shifts)) != len(shifts):
         raise ConfigurationError("row shifts must be pairwise distinct")
     cols = np.arange(n_workers)
-    entries = np.array([(cols + s) % n_blocks for s in shifts])
-    entries.setflags(write=False)
-    return AssignmentMatrix(entries, n_blocks)
+    matrix = np.array([(cols + s) % n_blocks for s in shifts])
+    matrix.setflags(write=False)
+    return matrix
 
 
 def build_rcs(n_blocks, n_workers, memory, seed):
@@ -77,27 +63,27 @@ def shift_for_iteration(policy, t, memory, adaptive_shift=0):
 
 def apply_order(matrix, shift):
     """Rotate every column up by `shift`: row r takes the old row (r+shift) mod M."""
-    if not 0 <= shift < matrix.memory:
-        raise ValueError("shift %d outside [0, %d)" % (shift, matrix.memory))
+    if not 0 <= shift < len(matrix):
+        raise ValueError("shift %d outside [0, %d)" % (shift, len(matrix)))
     if shift == 0:
         return matrix
-    entries = np.roll(matrix.entries, -shift, axis=0)
-    entries.setflags(write=False)
-    return AssignmentMatrix(entries, matrix.n_blocks)
+    rolled = np.roll(matrix, -shift, axis=0)
+    rolled.setflags(write=False)
+    return rolled
 
 
 def select_adaptive_shift(matrix, ages, a_th, responsive):
     """Shift placing the most over-threshold blocks first among responsive workers.
 
     Enumerates all M shifts; after shift sigma, worker i's first computation
-    is matrix.entries[sigma, i]. Ties break toward the smallest shift; an
+    is matrix[sigma, i]. Ties break toward the smallest shift; an
     empty responsive set falls back to shift 0.
     """
     responsive = sorted(responsive)
     if not responsive:
         return 0
     ages = np.asarray(ages)
-    sub = matrix.entries[:, responsive]
+    sub = matrix[:, responsive]
     counts = (ages[sub] > a_th).sum(axis=1)
     return int(np.argmax(counts))
 
@@ -112,10 +98,10 @@ def encode(matrix, degrees):
     degrees = tuple(int(m) for m in degrees)
     if any(m < 1 for m in degrees):
         raise ConfigurationError("degree vector entries must be positive")
-    if sum(degrees) != matrix.memory:
+    if sum(degrees) != len(matrix):
         raise ConfigurationError(
-            "degree vector sums to %d, memory is %d" % (sum(degrees), matrix.memory)
+            "degree vector sums to %d, memory is %d" % (sum(degrees), len(matrix))
         )
     bounds = np.cumsum((0,) + degrees).tolist()
-    return [tuple(col[lo:hi]) for col in matrix.entries.T.tolist()
+    return [tuple(col[lo:hi]) for col in matrix.T.tolist()
             for lo, hi in zip(bounds, bounds[1:])]

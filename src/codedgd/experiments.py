@@ -7,6 +7,7 @@ spawn keys, so reruns with the same config are byte-identical.
 
 import hashlib
 import os
+import pathlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -71,6 +72,8 @@ class ExperimentConfig:
             raise ConfigurationError("n_stragglers must be in [0, n_workers=%d], got %d"
                                      % (self.n_workers, self.n_stragglers))
         names = [p.name for p in self.policies]
+        if not names:
+            raise ConfigurationError("policies must name at least one policy")
         if len(set(names)) < len(names):
             raise ConfigurationError("policies need distinct names, got %s" % ",".join(names))
         # Each message recovers at most one block, directly or by peeling.
@@ -179,8 +182,11 @@ def _problem_cache(exp):
     return _CACHED[key]
 
 
-def run_experiment(config, n_jobs=1, write_files=True):
-    """Run replicas x policies simulations and emit raw + aggregate CSVs."""
+def run_experiment(config, n_jobs=1):
+    """Run replicas x policies simulations.
+
+    Writes the raw and aggregate CSVs if and only if `config.output_dir` is set.
+    """
     tasks = []
     for p_idx, policy in enumerate(config.policies):
         for rep in range(config.replicas):
@@ -198,10 +204,9 @@ def run_experiment(config, n_jobs=1, write_files=True):
         result.runs[policy.name] = outputs[idx:idx + config.replicas]
         idx += config.replicas
 
-    if write_files and config.output_dir:
+    if config.output_dir:
         write_raw_files(result, config.output_dir)
-        emit_plotdata(result, "convergence", config.output_dir)
-        emit_plotdata(result, "age_bars", config.output_dir)
+        emit_plotdata(result, config.output_dir)
         write_objectives(result, config.output_dir)
     return result
 
@@ -222,50 +227,23 @@ def write_raw_files(result, out_dir):
                              cfg.seed, ",".join(map(str, run.exhausted_iterations))))
 
 
-def _raw_checksums(result, out_dir):
-    lines = []
-    for policy in result.policy_names():
-        for rep in range(result.config.replicas):
-            path = os.path.join(out_dir, policy, "rep%02d" % rep, "metrics.csv")
-            if os.path.exists(path):
-                with open(path, "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-                lines.append("# source %s/rep%02d sha256=%s" % (policy, rep, digest))
-    return lines
-
-
-def emit_plotdata(result, kind, out_dir):
-    """Aggregate CSVs: per-iteration convergence curves or per-block age bars."""
+def emit_plotdata(result, out_dir):
+    """Aggregate CSVs: per-iteration convergence curves and per-block age bars."""
     os.makedirs(out_dir, exist_ok=True)
-    names = result.policy_names()
-    if kind == "convergence":
-        path = os.path.join(out_dir, "convergence.csv")
-        cols, header = [], ["t"]
-        for name in names:
-            if result.runs.get(name):
-                mean, std = result.mean_test_loss(name)
-                cols.extend([mean, std])
-            header.extend(["%s_mean" % name, "%s_std" % name])
-        with open(path, "w") as fh:
-            for line in _raw_checksums(result, out_dir):
-                fh.write(line + "\n")
-            fh.write(",".join(header) + "\n")
-            if cols:
-                for t in range(len(cols[0])):
-                    fh.write(",".join(["%d" % (t + 1)] +
-                                      ["%.12g" % c[t] for c in cols]) + "\n")
-        return path
-    if kind == "age_bars":
-        path = os.path.join(out_dir, "age_bars.csv")
-        cols = [result.mean_average_ages(n) for n in names if result.runs.get(n)]
-        with open(path, "w") as fh:
-            fh.write(",".join(["block"] + names) + "\n")
-            if cols:
-                for k in range(len(cols[0])):
-                    fh.write(",".join(["%d" % (k + 1)] +
-                                      ["%.12g" % c[k] for c in cols]) + "\n")
-        return path
-    raise ValueError("unknown plot kind %r" % kind)
+    cfg, names = result.config, result.policy_names()
+    curves = [c for name in names for c in result.mean_test_loss(name)]   # mean, std
+    bars = [result.mean_average_ages(name) for name in names]
+    sources = ["%s/rep%02d" % (name, rep) for name in names for rep in range(cfg.replicas)]
+    checksums = ["# source %s sha256=%s" % (src, hashlib.sha256(pathlib.Path(
+        out_dir, src, "metrics.csv").read_bytes()).hexdigest()[:16]) for src in sources]
+    header = ",".join(["t"] + ["%s_%s" % (n, stat) for n in names for stat in ("mean", "std")])
+    tables = (("convergence.csv", checksums + [header], curves, cfg.n_iterations),
+              ("age_bars.csv", [",".join(["block"] + names)], bars, cfg.n_blocks))
+    for filename, head, cols, n_rows in tables:
+        with open(os.path.join(out_dir, filename), "w") as fh:
+            fh.writelines(line + "\n" for line in head)
+            for i in range(n_rows):
+                fh.write(",".join(["%d" % (i + 1)] + ["%.12g" % c[i] for c in cols]) + "\n")
 
 
 def write_objectives(result, out_dir):
@@ -286,7 +264,7 @@ def table1_grid(base_config, q_values, a_th=None, n_jobs=1, out_path=None):
     cells = [replace(base_config, q=q, a_th=a_th, output_dir="") for q in q_values]
     grid = {}
     for q, cfg in zip(q_values, cells):
-        res = run_experiment(cfg, n_jobs=n_jobs, write_files=False)
+        res = run_experiment(cfg, n_jobs=n_jobs)
         grid[q] = {name: res.mean_objective(name) for name in res.policy_names()}
     if out_path:
         names = [p.name for p in base_config.policies]

@@ -3,12 +3,13 @@
 The recovery process (`simulate_recovery`) never reads the model, and its
 latency draws read neither the shift nor the decoder, so it draws every
 iteration's completion times and arrival orders up front. Each iteration then
-picks the vertical shift for the ordering policy, encodes, streams message
-block masks into the peeling decoder in arrival order until the tolerance
-target is met, and advances the age table. The run's record table (a length-T
-`np.recarray`, one row per iteration) gets the recovery vector r, the shift,
-the wall time and the message and block counts. The optimizer (`run_training`)
-is then masked gradient descent over the table's r column:
+picks the vertical shift for the ordering policy, encodes the rotated (M, N)
+assignment array, streams message block masks into the peeling decoder in
+arrival order until the tolerance target is met, and advances the age table.
+The run's record table (a length-T `np.recarray`, one row per iteration) gets
+the recovery vector r, the shift, the wall time and the message and block
+counts. The optimizer (`run_training`) is then masked gradient descent over
+the table's r column:
 theta <- theta - eta * r (.) (W theta - b), with r repeated over the d/K
 coordinates of each block, and it writes the losses into the same table.
 Each step's W theta - b is one BLAS dsymv (`problem.symv`), which reads one
@@ -48,12 +49,14 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 <= self.q < 1:
             raise ConfigurationError("q must be in [0, 1), got %g" % self.q)
-        if not self.eta > 0:
-            raise ConfigurationError("eta must be > 0, got %g" % self.eta)
-        if self.n_iterations < 1:
-            raise ConfigurationError("n_iterations must be >= 1, got %d" % self.n_iterations)
-        if min(self.degrees) < 1:
-            raise ConfigurationError("degrees must be positive, got %s" % (self.degrees,))
+        if not 0 < self.eta < np.inf:
+            raise ConfigurationError("eta must be finite and > 0, got %g" % self.eta)
+        for key in ("n_workers", "n_iterations"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError("%s must be >= 1, got %d" % (key, getattr(self, key)))
+        if not self.degrees or min(self.degrees) < 1:
+            raise ConfigurationError("degrees must be non-empty and positive, got %s"
+                                     % (self.degrees,))
         if self.memory > self.n_blocks:
             raise ConfigurationError("degrees sum to %d, more than n_blocks %d"
                                      % (self.memory, self.n_blocks))
@@ -69,7 +72,6 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     config: TrainConfig
-    assignment: codec.AssignmentMatrix
     records: np.recarray   # one row per iteration, see simulate_recovery
     ages: AgeTable
     theta: np.ndarray
@@ -140,6 +142,7 @@ def simulate_recovery(config, assignment, rng):
     them. All T iterations' completion times are drawn from `rng` before the
     loop, as per-iteration draws would take them: one draw over a (T, N)
     scale for a fixed profile, or a Markov step and a draw per iteration.
+    `assignment` is the read-only (M, N) block-index array of `codec.build_rcs`.
     Only M distinct shifts exist, so each shift's codewords are encoded, and
     range-checked into block masks, once.
     """
@@ -215,7 +218,7 @@ def run_training(problem, config):
         chunk[:, col] = theta
         if col == EVAL_CHUNK - 1 or t == len(records) - 1:
             train[t - col:t + 1], test[t - col:t + 1] = evaluate(chunk[:, :col + 1], problem)
-    return TrainResult(config, assignment, records, ages, theta)
+    return TrainResult(config, records, ages, theta)
 
 
 def write_metrics_csv(result, path):

@@ -30,7 +30,7 @@ def check(name, condition, detail=""):
 
 @pytest.fixture(scope="module")
 def fig3_sweep():
-    return run_experiment(preset_config("fig3"), write_files=False)
+    return run_experiment(preset_config("fig3"))
 
 
 def test_table1_reproduction():
@@ -75,7 +75,7 @@ def test_fig4_age_property(fig3_sweep):
 
 def test_fig6_uncoded_recovery():
     cfg = preset_config("fig6")
-    res = run_experiment(cfg, write_files=False)
+    res = run_experiment(cfg)
     static_never = [int((run.recovery_matrix().sum(axis=0) == 0).sum())
                     for run in res.runs["rcs"]]
     adaptive_ages = np.array([run.ages.average_ages()

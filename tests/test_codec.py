@@ -15,24 +15,24 @@ def example_matrix():
 
 
 def test_example_column(example_matrix):
-    assert list(example_matrix.entries[:, 0] + 1) == [1, 4, 11, 15, 6, 18]
-    assert list(example_matrix.entries[:, 1] + 1) == [2, 5, 12, 16, 7, 19]
+    assert list(example_matrix[:, 0] + 1) == [1, 4, 11, 15, 6, 18]
+    assert list(example_matrix[:, 1] + 1) == [2, 5, 12, 16, 7, 19]
 
 
 def test_single_row_identity_shift():
     m = from_shifts(3, 3, (0,))
-    assert np.array_equal(m.entries, [[0, 1, 2]])
+    assert np.array_equal(m, [[0, 1, 2]])
 
 
 def test_build_rcs_deterministic_and_duplicate_free():
     a = build_rcs(40, 40, 6, seed=123)
     b = build_rcs(40, 40, 6, seed=123)
-    assert np.array_equal(a.entries, b.entries)
+    assert np.array_equal(a, b)
     for i in range(40):
-        col = a.entries[:, i]
+        col = a[:, i]
         assert len(set(col)) == 6
     # each submatrix index appears in exactly M columns
-    counts = np.bincount(a.entries.reshape(-1), minlength=40)
+    counts = np.bincount(a.reshape(-1), minlength=40)
     assert np.all(counts == 6)
 
 
@@ -43,20 +43,31 @@ def test_build_rcs_memory_too_large():
 
 def test_apply_order_worked_examples(example_matrix):
     one = apply_order(example_matrix, 1)
-    assert list(one.entries[:, 0] + 1) == [4, 11, 15, 6, 18, 1]
+    assert list(one[:, 0] + 1) == [4, 11, 15, 6, 18, 1]
     three = apply_order(example_matrix, 3)
-    assert list(three.entries[:, 0] + 1) == [15, 6, 18, 1, 4, 11]
+    assert list(three[:, 0] + 1) == [15, 6, 18, 1, 4, 11]
     same = apply_order(example_matrix, 0)
-    assert np.array_equal(same.entries, example_matrix.entries)
+    assert np.array_equal(same, example_matrix)
+
+
+def test_assignments_are_read_only_arrays(example_matrix):
+    # simulate_recovery caches each shift's codewords: apply_order(m, 0) must
+    # be m itself, and no assignment may change after it is encoded.
+    rotated = apply_order(example_matrix, 2)
+    for m in (build_rcs(20, 20, 6, seed=0), example_matrix, rotated):
+        assert isinstance(m, np.ndarray) and m.shape == (6, 20)
+        assert not m.flags.writeable
+    assert apply_order(example_matrix, 0) is example_matrix
+    assert rotated is not example_matrix
 
 
 def test_shift_composition(example_matrix):
-    m = example_matrix.memory
+    m = len(example_matrix)
     for s1 in range(m):
         for s2 in range(m):
             twice = apply_order(apply_order(example_matrix, s1), s2)
             once = apply_order(example_matrix, (s1 + s2) % m)
-            assert np.array_equal(twice.entries, once.entries)
+            assert np.array_equal(twice, once)
 
 
 def test_shift_for_iteration_policies():
@@ -91,7 +102,7 @@ def test_encode_uncoded_mode():
 
 def test_encode_single_codeword(example_matrix):
     messages = encode(example_matrix, (6,))
-    assert all(set(s) == set(example_matrix.entries[:, i]) for i, s in enumerate(messages))
+    assert all(set(s) == set(example_matrix[:, i]) for i, s in enumerate(messages))
 
 
 def test_encode_degree_mismatch(example_matrix):
@@ -109,7 +120,7 @@ def test_encode_coverage_and_disjointness():
         for i in range(12):
             groups = [set(s) for s in messages[3 * i:3 * i + 3]]
             union = set().union(*groups)
-            assert union == set(mat.entries[:, i])
+            assert union == set(mat[:, i])
             assert sum(len(g) for g in groups) == len(union)
 
 
@@ -138,7 +149,7 @@ def test_adaptive_shift_matches_bruteforce():
         responsive = {int(w) for w in rng.choice(12, size=rng.integers(1, 13), replace=False)}
         a_th = int(rng.integers(1, 6))
         best = select_adaptive_shift(mat, ages, a_th, responsive)
-        counts = [sum(ages[mat.entries[s, i]] > a_th for i in responsive)
+        counts = [sum(ages[mat[s, i]] > a_th for i in responsive)
                   for s in range(memory)]
         assert counts[best] == max(counts)
         assert all(counts[s] < counts[best] for s in range(best))

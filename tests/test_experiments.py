@@ -1,3 +1,4 @@
+import hashlib
 import os
 from dataclasses import replace
 
@@ -5,9 +6,8 @@ import numpy as np
 import pytest
 
 from codedgd import experiments
-from codedgd.experiments import (ExperimentConfig, PolicySpec, emit_plotdata,
-                                 preset_config, run_experiment, run_seed,
-                                 table1_grid, SweepResult)
+from codedgd.experiments import (ExperimentConfig, PolicySpec, preset_config,
+                                 run_experiment, run_seed, table1_grid)
 from codedgd.problem import ConfigurationError
 
 
@@ -98,13 +98,51 @@ def test_age_bars_csv_shape(tmp_path):
     assert len(rows) == 1 + cfg.n_blocks
 
 
-def test_emit_plotdata_empty_result(tmp_path):
-    result = SweepResult(tiny_config())
-    path = emit_plotdata(result, "convergence", str(tmp_path))
-    content = [l for l in open(path) if not l.startswith("#")]
-    assert len(content) == 1 and content[0].startswith("t,")
-    path = emit_plotdata(result, "age_bars", str(tmp_path))
-    assert len(open(path).readlines()) == 1
+def two_kind_emit_plotdata(result, kind, out_dir):
+    """The aggregate writer as it was before one call wrote both files."""
+    names = result.policy_names()
+    if kind == "convergence":
+        path = os.path.join(out_dir, "convergence.csv")
+        cols, header = [], ["t"]
+        for name in names:
+            if result.runs.get(name):
+                mean, std = result.mean_test_loss(name)
+                cols.extend([mean, std])
+            header.extend(["%s_mean" % name, "%s_std" % name])
+        with open(path, "w") as fh:
+            for policy in names:
+                for rep in range(result.config.replicas):
+                    raw = os.path.join(out_dir, policy, "rep%02d" % rep, "metrics.csv")
+                    if os.path.exists(raw):
+                        with open(raw, "rb") as src:
+                            digest = hashlib.sha256(src.read()).hexdigest()[:16]
+                        fh.write("# source %s/rep%02d sha256=%s\n" % (policy, rep, digest))
+            fh.write(",".join(header) + "\n")
+            if cols:
+                for t in range(len(cols[0])):
+                    fh.write(",".join(["%d" % (t + 1)] +
+                                      ["%.12g" % c[t] for c in cols]) + "\n")
+        return path
+    path = os.path.join(out_dir, "age_bars.csv")
+    cols = [result.mean_average_ages(n) for n in names if result.runs.get(n)]
+    with open(path, "w") as fh:
+        fh.write(",".join(["block"] + names) + "\n")
+        if cols:
+            for k in range(len(cols[0])):
+                fh.write(",".join(["%d" % (k + 1)] +
+                                  ["%.12g" % c[k] for c in cols]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("profile_kind", ["persistent", "markov"])
+def test_emit_plotdata_against_two_kind_writer(tmp_path, profile_kind):
+    out = tmp_path / "out"
+    result = run_experiment(tiny_config(profile_kind=profile_kind, output_dir=str(out)))
+    written = {name: (out / name).read_bytes() for name in ("convergence.csv", "age_bars.csv")}
+    for kind in ("convergence", "age_bars"):
+        two_kind_emit_plotdata(result, kind, str(out))
+    assert written == {name: (out / name).read_bytes() for name in written}
+    assert written["convergence.csv"].count(b"# source ") == 3 * 2
 
 
 def test_aggregates_recomputable_from_raw_files(tmp_path):
@@ -160,8 +198,10 @@ def test_one_staleness_threshold_across_outputs(tmp_path):
     (dict(policies=(PolicySpec("adaptive0", "adaptive", 0),)), "a_th"),
     (dict(policies=(PolicySpec("rcs", "static"), PolicySpec("rcs", "fixed_shift"))),
      "policies"),
+    (dict(policies=()), "policies"),
+    (dict(eta=np.inf), "eta"),
 ], ids=["eta", "n_iterations", "profile_kind", "degrees", "mu", "policy_a_th",
-        "duplicate_policy"])
+        "duplicate_policy", "no_policies", "eta_inf"])
 def test_invalid_config_fails_at_construction(override, key):
     with pytest.raises(ConfigurationError, match=key):
         tiny_config(**override)
@@ -215,9 +255,9 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
     cfg = tiny_config(replicas=1)
-    pooled = run_experiment(cfg, n_jobs=64, write_files=False)
+    pooled = run_experiment(cfg, n_jobs=64)
     assert sizes == [3]   # 3 policies x 1 replica
-    serial = run_experiment(cfg, n_jobs=1, write_files=False)
+    serial = run_experiment(cfg, n_jobs=1)
     assert sizes == [3]
     for name in serial.policy_names():
         for a, b in zip(pooled.runs[name], serial.runs[name]):

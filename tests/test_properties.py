@@ -110,9 +110,9 @@ def coded_assignments(draw):
 def test_encode_covers_each_column_exactly_once(case):
     matrix, degrees = case
     messages = encode(matrix, degrees)
-    n_workers = matrix.entries.shape[1]
+    n_workers = matrix.shape[1]
     assert len(messages) == n_workers * len(degrees)
     for worker in range(n_workers):
         own = messages[worker * len(degrees):(worker + 1) * len(degrees)]
         assert [len(m) for m in own] == list(degrees)
-        assert [k for m in own for k in m] == matrix.entries[:, worker].tolist()
+        assert [k for m in own for k in m] == matrix[:, worker].tolist()

@@ -186,6 +186,17 @@ def test_profile_must_cover_every_worker():
         make_config(n_workers=5)
 
 
+@pytest.mark.parametrize("override, key", [
+    (dict(n_workers=0), "n_workers"),
+    (dict(eta=np.inf), "eta"),
+    (dict(eta=np.nan), "eta"),
+    (dict(degrees=()), "degrees"),
+], ids=["n_workers_0", "eta_inf", "eta_nan", "degrees_empty"])
+def test_useless_train_config_fails_at_construction(override, key):
+    with pytest.raises(ConfigurationError, match=key):
+        make_config(**override)
+
+
 def test_determinism_same_seed_same_run(desk_problem):
     config = make_config(n_iterations=30, q=0.25, seed=42)
     a = run_training(desk_problem, config)
