@@ -3,6 +3,9 @@
 A single experiment compares several ordering policies on one synthetic
 problem. Per-run seeds are derived from the master seed via SeedSequence
 spawn keys, so reruns with the same config are byte-identical.
+
+A run's losses are computed on first read (`trainer.TrainResult`): in the
+run's own process when the sweep writes files, and never for `table1_grid`.
 """
 
 import hashlib
@@ -59,7 +62,7 @@ class ExperimentConfig:
     output_dir: str = ""
 
     def __post_init__(self):
-        for key in ("n_train", "n_test", "d", "a_th", "replicas"):
+        for key in ("n_train", "n_test", "d", "n_workers", "a_th", "replicas"):
             if getattr(self, key) < 1:
                 raise ConfigurationError("%s must be >= 1, got %d" % (key, getattr(self, key)))
         if self.seed < 0:
@@ -76,6 +79,9 @@ class ExperimentConfig:
             raise ConfigurationError("policies must name at least one policy")
         if len(set(names)) < len(names):
             raise ConfigurationError("policies need distinct names, got %s" % ",".join(names))
+        # The policy, profile and training checks run here too, once.
+        for policy in self.policies:
+            self.train_config(policy, self.seed)
         # Each message recovers at most one block, directly or by peeling.
         target = recovery_target(self.n_blocks, self.q)
         if self.n_workers * len(self.degrees) < target:
@@ -83,9 +89,6 @@ class ExperimentConfig:
                 "n_workers=%d send %d messages per iteration, fewer than the %d blocks "
                 "ceil((1-q)K) the recovery target needs"
                 % (self.n_workers, self.n_workers * len(self.degrees), target))
-        # The policy, profile and training checks run here too, once.
-        for policy in self.policies:
-            self.train_config(policy, self.seed)
 
     def straggler_profile(self):
         slow = frozenset(range(self.n_stragglers))
@@ -166,8 +169,10 @@ class SweepResult:
 
 def _execute_run(args):
     exp, policy, seed_value = args
-    problem = _problem_cache(exp)
-    return trainer.run_training(problem, exp.train_config(policy, seed_value))
+    result = trainer.run_training(_problem_cache(exp), exp.train_config(policy, seed_value))
+    if exp.output_dir:   # the CSVs print the losses: compute them where the run ran
+        result.train_losses()
+    return result
 
 
 _CACHED = {}
@@ -195,6 +200,9 @@ def run_experiment(config, n_jobs=1):
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outputs = list(pool.map(_execute_run, tasks, chunksize=1))
+        if not config.output_dir:   # unread results come back without their problem
+            for run in outputs:
+                run.problem = _problem_cache(config)
     else:
         outputs = [_execute_run(t) for t in tasks]
 

@@ -8,12 +8,13 @@ assignment array, streams message block masks into the peeling decoder in
 arrival order until the tolerance target is met, and advances the age table.
 The run's record table (a length-T `np.recarray`, one row per iteration) gets
 the recovery vector r, the shift, the wall time and the message and block
-counts. The optimizer (`run_training`) is then masked gradient descent over
-the table's r column:
+counts. `run_training` stops there, since ages and objectives need nothing
+else; a `TrainResult` runs the optimizer on the first read of its theta or
+losses. The optimizer is masked gradient descent over the table's r column:
 theta <- theta - eta * r (.) (W theta - b), with r repeated over the d/K
-coordinates of each block, and it writes the losses into the same table.
-Each step's W theta - b is one BLAS dsymv (`problem.symv`), which reads one
-triangle of the symmetric W instead of all d^2 entries.
+coordinates of each block. Each step's W theta - b is one BLAS dsymv
+(`problem.symv`), which reads one triangle of the symmetric W instead of all
+d^2 entries.
 
 The losses never feed back into either part, so they are evaluated over the
 trajectory, not per step: each theta_t is copied into a d x EVAL_CHUNK buffer,
@@ -22,14 +23,14 @@ and each full buffer, plus the partial one at the end of the run, costs one
 boundaries depend on the iteration count alone.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import codec, latency
 from .ages import AgeTable
 from .decoder import RecoveryState, block_mask, recovery_target
-from .problem import ConfigurationError, symv
+from .problem import ConfigurationError, RegressionProblem, symv
 
 EVAL_CHUNK = 128   # iterates per loss evaluation; its GEMM temporaries are n x EVAL_CHUNK
 
@@ -71,10 +72,19 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    """One run's recovery output. The first read of `theta`, `train_losses()`
+    or `test_losses()` runs the masked GD on `problem`, keeps theta_T and the
+    losses, and drops `problem`. Pickling drops `problem` and runs no
+    optimizer, so an unread result needs `problem` set again once unpickled.
+    """
     config: TrainConfig
     records: np.recarray   # one row per iteration, see simulate_recovery
     ages: AgeTable
-    theta: np.ndarray
+    problem: RegressionProblem = field(default=None, repr=False)
+    _optimized: tuple = field(default=None, repr=False)   # (theta, train, test)
+
+    def __getstate__(self):
+        return dict(vars(self), problem=None)
 
     @property
     def exhausted_iterations(self):
@@ -82,21 +92,41 @@ class TrainResult:
         target = recovery_target(self.config.n_blocks, self.config.q)
         return (np.flatnonzero(self.records.recovered_count < target) + 1).tolist()
 
-    def test_losses(self):
-        return self.records.test_loss
+    @property
+    def theta(self):
+        return self._optimize()[0]
 
     def train_losses(self):
-        return self.records.train_loss
+        return self._optimize()[1]
+
+    def test_losses(self):
+        return self._optimize()[2]
 
     def recovery_matrix(self):
         return self.records.r
+
+    def _optimize(self):
+        if self._optimized is None:
+            if self.problem is None:
+                raise ValueError("losses not computed before pickling: set result.problem")
+            p, n = self.problem, len(self.records)
+            theta, train, test = np.zeros(p.d), np.empty(n), np.empty(n)
+            chunk = np.empty((p.d, EVAL_CHUNK), order="F")   # theta_t in column t % EVAL_CHUNK
+            for t, r in enumerate(self.records.r):
+                theta = apply_partial_update(theta, r, p, self.config.eta)
+                col = t % EVAL_CHUNK
+                chunk[:, col] = theta
+                if col == EVAL_CHUNK - 1 or t == n - 1:
+                    train[t - col:t + 1], test[t - col:t + 1] = evaluate(chunk[:, :col + 1], p)
+            self._optimized, self.problem = (theta, train, test), None
+        return self._optimized
 
 
 def evaluate(theta, problem):
     """Mean squared error (with the 1/2 factor) on the train and test splits.
 
     A 1-D `theta` gives two floats. A d x C matrix, one iterate per column,
-    gives two length-C arrays from one GEMM per split; run_training and
+    gives two length-C arrays from one GEMM per split; TrainResult and
     run_plain_gd evaluate their trajectories this way, EVAL_CHUNK iterates at
     a time. A column may differ from the 1-D call in the last bits, because
     GEMM and the mat-vec sum in different orders.
@@ -137,11 +167,10 @@ def simulate_recovery(config, assignment, rng):
 
     Returns the record table and the AgeTable. The table is a length-T
     `np.recarray` with one row per iteration: the recovery vector `r` (int8,
-    K), `shift_used`, `wall_time`, `n_ingested`, `recovered_count`, and
-    `train_loss` and `test_loss`, which stay NaN until run_training fills
-    them. All T iterations' completion times are drawn from `rng` before the
-    loop, as per-iteration draws would take them: one draw over a (T, N)
-    scale for a fixed profile, or a Markov step and a draw per iteration.
+    K), `shift_used`, `wall_time`, `n_ingested` and `recovered_count`. All
+    T iterations' completion times are drawn from `rng` before the loop, as
+    per-iteration draws would take them: one draw over a (T, N) scale for a
+    fixed profile, or a Markov step and a draw per iteration.
     `assignment` is the read-only (M, N) block-index array of `codec.build_rcs`.
     Only M distinct shifts exist, so each shift's codewords are encoded, and
     range-checked into block masks, once.
@@ -169,8 +198,7 @@ def simulate_recovery(config, assignment, rng):
     adaptive_shift = 0
     records = np.recarray(n_iter, dtype=[
         ("r", np.int8, (k,)), ("shift_used", np.int64), ("wall_time", np.float64),
-        ("n_ingested", np.int64), ("recovered_count", np.int64),
-        ("train_loss", np.float64), ("test_loss", np.float64)])
+        ("n_ingested", np.int64), ("recovered_count", np.int64)])
     r_column, columns = records.r, []   # columns: shift, wall time, n_ingested, recovered
     for t, order in enumerate(arrivals, 1):
         shift = codec.shift_for_iteration(config.policy, t, config.memory, adaptive_shift)
@@ -197,34 +225,27 @@ def simulate_recovery(config, assignment, rng):
 
     (records.shift_used, records.wall_time, records.n_ingested,
      records.recovered_count) = zip(*columns)
-    records.train_loss = records.test_loss = np.nan
     return records, ages
 
 
 def run_training(problem, config):
-    """Simulate the full training run described by `config`."""
+    """Simulate the recovery process of the run described by `config`.
+
+    The result holds `problem` for the masked GD, which runs on first read.
+    """
     ss = np.random.SeedSequence(config.seed)
     rcs_seed, latency_seed = ss.spawn(2)
     assignment = codec.build_rcs(config.n_blocks, config.n_workers, config.memory,
                                  np.random.default_rng(rcs_seed))
     records, ages = simulate_recovery(config, assignment, np.random.default_rng(latency_seed))
-
-    theta = np.zeros(problem.d)
-    chunk = np.empty((problem.d, EVAL_CHUNK), order="F")   # theta_t in column t % EVAL_CHUNK
-    train, test = records.train_loss, records.test_loss    # views: writes fill the table
-    for t, r in enumerate(records.r):
-        theta = apply_partial_update(theta, r, problem, config.eta)
-        col = t % EVAL_CHUNK
-        chunk[:, col] = theta
-        if col == EVAL_CHUNK - 1 or t == len(records) - 1:
-            train[t - col:t + 1], test[t - col:t + 1] = evaluate(chunk[:, :col + 1], problem)
-    return TrainResult(config, records, ages, theta)
+    return TrainResult(config, records, ages, problem)
 
 
 def write_metrics_csv(result, path):
     rec = result.records
     rows = zip(range(1, len(rec) + 1), rec.wall_time.tolist(), rec.shift_used.tolist(),
-               rec.recovered_count.tolist(), rec.train_loss.tolist(), rec.test_loss.tolist())
+               rec.recovered_count.tolist(), result.train_losses().tolist(),
+               result.test_losses().tolist())
     with open(path, "w") as fh:
         fh.write("t,wall_time,shift_used,recovered_count,train_loss,test_loss\n")
         fh.writelines("%d,%.12g,%d,%d,%.12g,%.12g\n" % row for row in rows)

@@ -103,10 +103,11 @@ def test_exact_gd_oracle():
     _, trajectory, gd_losses = run_plain_gd(problem, eta=0.1, n_iterations=60)
     ok = all(np.all(rec.r == 1) for rec in result.records)
     worst = 0.0
-    for rec, (train_gd, test_gd) in zip(result.records, gd_losses):
+    for train, test, (train_gd, test_gd) in zip(result.train_losses(), result.test_losses(),
+                                                gd_losses):
         worst = max(worst,
-                    abs(rec.train_loss - train_gd) / train_gd,
-                    abs(rec.test_loss - test_gd) / test_gd)
+                    abs(train - train_gd) / train_gd,
+                    abs(test - test_gd) / test_gd)
     err = np.linalg.norm(result.theta - trajectory[-1]) / np.linalg.norm(trajectory[-1])
     check("exact_gd_oracle", ok and err <= 1e-9 and worst <= 1e-9,
           "final rel err %.2e, worst per-iteration loss rel err %.2e" % (err, worst))

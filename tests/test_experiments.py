@@ -1,5 +1,6 @@
 import hashlib
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -200,8 +201,10 @@ def test_one_staleness_threshold_across_outputs(tmp_path):
      "policies"),
     (dict(policies=()), "policies"),
     (dict(eta=np.inf), "eta"),
+    (dict(degrees=()), "degrees"),
+    (dict(n_workers=0), "n_workers must"),
 ], ids=["eta", "n_iterations", "profile_kind", "degrees", "mu", "policy_a_th",
-        "duplicate_policy", "no_policies", "eta_inf"])
+        "duplicate_policy", "no_policies", "eta_inf", "degrees_empty", "n_workers_0"])
 def test_invalid_config_fails_at_construction(override, key):
     with pytest.raises(ConfigurationError, match=key):
         tiny_config(**override)
@@ -236,8 +239,15 @@ def test_table1_grid_defaults_to_the_config_threshold():
     assert default != table1_grid(cfg, [0.25], a_th=2)
 
 
-def test_pool_is_capped_at_the_task_count(monkeypatch):
-    # Records the pool size and runs the tasks inline: no process is started.
+def test_table1_grid_runs_no_optimizer(optimizer_calls):
+    grid = table1_grid(tiny_config(), [0.25, 0.5])
+    assert set(grid) == {0.25, 0.5}
+    assert optimizer_calls == {}
+
+
+def test_pool_is_capped_at_the_task_count(monkeypatch, optimizer_calls):
+    # Records the pool size and runs the tasks inline, sending each result
+    # through pickle as a worker would: no process is started.
     sizes = []
 
     class InlinePool:
@@ -251,14 +261,17 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+            return (pickle.loads(pickle.dumps(fn(task))) for task in tasks)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
     cfg = tiny_config(replicas=1)
     pooled = run_experiment(cfg, n_jobs=64)
     assert sizes == [3]   # 3 policies x 1 replica
+    assert optimizer_calls == {}
     serial = run_experiment(cfg, n_jobs=1)
     assert sizes == [3]
     for name in serial.policy_names():
         for a, b in zip(pooled.runs[name], serial.runs[name]):
             assert a.records.tobytes() == b.records.tobytes()
+            assert a.train_losses().tobytes() == b.train_losses().tobytes()
+            assert a.test_losses().tobytes() == b.test_losses().tobytes()

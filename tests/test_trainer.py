@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -98,11 +99,12 @@ def test_chunked_losses_match_per_iteration_evaluate(desk_problem, n_iterations)
     result = run_training(desk_problem, config)
     assert len(result.records) == n_iterations
     theta = np.zeros(desk_problem.d)
-    for t, rec in enumerate(result.records, 1):
+    rows = zip(result.records, result.train_losses(), result.test_losses())
+    for t, (rec, train_loss, test_loss) in enumerate(rows, 1):
         theta = apply_partial_update(theta, rec.r, desk_problem, config.eta)
         train, test = evaluate(theta, desk_problem)
-        assert rec.train_loss == pytest.approx(train, rel=1e-12, abs=0), t
-        assert rec.test_loss == pytest.approx(test, rel=1e-12, abs=0), t
+        assert train_loss == pytest.approx(train, rel=1e-12, abs=0), t
+        assert test_loss == pytest.approx(test, rel=1e-12, abs=0), t
     assert np.array_equal(result.theta, theta)
 
 
@@ -161,9 +163,10 @@ def test_exhaustion_is_flagged_and_training_continues():
 def per_record_metrics_csv(result):
     """metrics.csv as the per-record formatter wrote it before the record table."""
     lines = ["t,wall_time,shift_used,recovered_count,train_loss,test_loss\n"]
-    for t, rec in enumerate(result.records, 1):
+    rows = zip(result.records, result.train_losses(), result.test_losses())
+    for t, (rec, train_loss, test_loss) in enumerate(rows, 1):
         lines.append("%d,%.12g,%d,%d,%.12g,%.12g\n" % (
-            t, rec.wall_time, rec.shift_used, int(rec.r.sum()), rec.train_loss, rec.test_loss))
+            t, rec.wall_time, rec.shift_used, int(rec.r.sum()), train_loss, test_loss))
     return "".join(lines).encode()
 
 
@@ -349,14 +352,81 @@ PINNED_RUNS = {
 def test_differential_against_value_level_decoder():
     seen = {}
     for label, result in differential_runs():
-        last = result.records[-1]
-        seen[label] = (trace_digest(result), last.train_loss, last.test_loss)
+        seen[label] = (trace_digest(result), result.train_losses()[-1],
+                       result.test_losses()[-1])
     assert sorted(seen) == sorted(PINNED_RUNS)
     for label, (digest, train, test) in PINNED_RUNS.items():
         got_digest, got_train, got_test = seen[label]
         assert got_digest == digest, label
         assert got_train == pytest.approx(train, rel=1e-12, abs=0), label
         assert got_test == pytest.approx(test, rel=1e-12, abs=0), label
+
+
+# run_training as it was before masked GD moved to the first read of a loss:
+# the optimizer ran straight after the recovery process.
+
+def eager_run_training(problem, config):
+    """theta_T and the train and test losses of the eager loop."""
+    rcs_seed, latency_seed = np.random.SeedSequence(config.seed).spawn(2)
+    assignment = build_rcs(config.n_blocks, config.n_workers, config.memory,
+                           np.random.default_rng(rcs_seed))
+    records, _ = simulate_recovery(config, assignment, np.random.default_rng(latency_seed))
+    theta = np.zeros(problem.d)
+    chunk = np.empty((problem.d, EVAL_CHUNK), order="F")
+    train, test = np.full(len(records), np.nan), np.full(len(records), np.nan)
+    for t, r in enumerate(records.r):
+        theta = apply_partial_update(theta, r, problem, config.eta)
+        col = t % EVAL_CHUNK
+        chunk[:, col] = theta
+        if col == EVAL_CHUNK - 1 or t == len(records) - 1:
+            train[t - col:t + 1], test[t - col:t + 1] = evaluate(chunk[:, :col + 1], problem)
+    return theta, train, test
+
+
+def test_deferred_optimizer_matches_eager_loop():
+    checked = []
+    for label, result in differential_runs():
+        if "homogeneous" in label:
+            continue
+        want_theta, want_train, want_test = eager_run_training(result.problem, result.config)
+        assert result.theta.tobytes() == want_theta.tobytes(), label
+        assert result.train_losses().tobytes() == want_train.tobytes(), label
+        assert result.test_losses().tobytes() == want_test.tobytes(), label
+        checked.append(label)
+        if label == "exhausted":   # the fig3 runs that follow are not part of this check
+            break
+    assert len(checked) == 13
+
+
+def test_losses_are_computed_once_on_first_read(desk_problem, optimizer_calls):
+    n_iterations = 2 * EVAL_CHUNK + 3
+    result = run_training(desk_problem, make_config(n_iterations=n_iterations, q=0.25))
+    assert optimizer_calls == {}
+    first = result.test_losses()
+    assert optimizer_calls == {"apply_partial_update": n_iterations,
+                               "evaluate": -(-n_iterations // EVAL_CHUNK)}
+    assert result.problem is None
+    before = dict(optimizer_calls)
+    assert result.test_losses() is first
+    result.train_losses(), result.theta
+    assert optimizer_calls == before
+
+
+def test_pickling_drops_the_problem_and_runs_no_optimizer(optimizer_calls):
+    problem = generate_problem(100, 20, 200, noise_std=0.0, seed=3)
+    result = run_training(problem, make_config())
+    unread = pickle.dumps(result)
+    assert optimizer_calls == {}
+    assert len(unread) < problem.W.nbytes
+    copy = pickle.loads(unread)
+    assert copy.problem is None and result.problem is problem
+    with pytest.raises(ValueError, match="problem"):
+        copy.theta
+    copy.problem = problem
+    assert copy.test_losses().tobytes() == result.test_losses().tobytes()
+    read = pickle.loads(pickle.dumps(result))
+    assert read.train_losses().tobytes() == result.train_losses().tobytes()
+    assert read.theta.tobytes() == result.theta.tobytes()
 
 
 # The recovery loop as it was before a run's latencies were drawn up front:
@@ -374,8 +444,7 @@ def per_iteration_recovery(config, assignment, rng):
     adaptive_shift = 0
     records = np.recarray(config.n_iterations, dtype=[
         ("r", np.int8, (k,)), ("shift_used", np.int64), ("wall_time", np.float64),
-        ("n_ingested", np.int64), ("recovered_count", np.int64),
-        ("train_loss", np.float64), ("test_loss", np.float64)])
+        ("n_ingested", np.int64), ("recovered_count", np.int64)])
     for t in range(1, config.n_iterations + 1):
         if markov is not None:
             markov = latency.step_markov(markov, rng)
@@ -400,7 +469,7 @@ def per_iteration_recovery(config, assignment, rng):
             responsive = {msg // n_messages for msg in arrived}
             adaptive_shift = codec.select_adaptive_shift(
                 assignment, ages.current, config.policy.a_th, responsive)
-        records[t - 1] = (r, shift, wall_time, state.n_ingested, state.n_recovered, np.nan, np.nan)
+        records[t - 1] = (r, shift, wall_time, state.n_ingested, state.n_recovered)
     return records, ages
 
 
