@@ -28,7 +28,7 @@ for members, t in stream:
     newly = state.ingest(block_mask(members, K))
     print("t=%.2f ingest %-9s -> recovered %s  (total %d, pending %d)"
           % (t, members, newly, state.n_recovered, len(state.pending)))
-    if state.is_complete():
+    if state.n_recovered >= state.target:
         print("target reached at t=%.2f" % t)
         break
 

@@ -25,8 +25,9 @@ def parse_policy_token(token):
         return PolicySpec("rcs", "static")
     if token == "rcs1":
         return PolicySpec("rcs1", "fixed_shift")
-    if token.startswith("adaptive"):
-        a_th = int(token.split(":", 1)[1]) if ":" in token else 1
+    kind, colon, a_th = token.partition(":")
+    if kind == "adaptive":   # `adaptive` or `adaptive:N`
+        a_th = int(a_th) if colon else 1
         return PolicySpec("adaptive%d" % a_th, "adaptive", a_th)
     raise ConfigurationError("unknown policy token %r" % token)
 
@@ -142,12 +143,12 @@ def main(argv=None):
         if args.jobs < 1:
             raise ConfigurationError("--jobs must be >= 1, got %d" % args.jobs)
         check_step_size(config)
+        os.makedirs(config.output_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
     try:
-        os.makedirs(config.output_dir, exist_ok=True)
         if args.command == "table1":
             out_path = os.path.join(config.output_dir, "table1.csv")
             grid = table1_grid(config, q_values, a_th=config.a_th,

@@ -56,9 +56,6 @@ class RecoveryState:
         self._containing = {}          # block -> ids of the pending messages that contain it
         self.n_ingested = 0
 
-    def is_complete(self):
-        return self.n_recovered >= self.target
-
     def ingest(self, mask):
         """Absorb one message's block mask; returns the blocks it unlocked."""
         self.n_ingested += 1

@@ -4,8 +4,9 @@ A single experiment compares several ordering policies on one synthetic
 problem. Per-run seeds are derived from the master seed via SeedSequence
 spawn keys, so reruns with the same config are byte-identical.
 
-A run's losses are computed on first read (`trainer.TrainResult`): in the
-run's own process when the sweep writes files, and never for `table1_grid`.
+A run's losses are computed on first read (`trainer.TrainResult`), in the
+calling process: pool workers run the recovery process only, and
+`table1_grid` reads no loss.
 """
 
 import hashlib
@@ -169,10 +170,7 @@ class SweepResult:
 
 def _execute_run(args):
     exp, policy, seed_value = args
-    result = trainer.run_training(_problem_cache(exp), exp.train_config(policy, seed_value))
-    if exp.output_dir:   # the CSVs print the losses: compute them where the run ran
-        result.train_losses()
-    return result
+    return trainer.run_training(_problem_cache(exp), exp.train_config(policy, seed_value))
 
 
 _CACHED = {}
@@ -192,6 +190,7 @@ def run_experiment(config, n_jobs=1):
 
     Writes the raw and aggregate CSVs if and only if `config.output_dir` is set.
     """
+    problem = _problem_cache(config)   # before the pool forks, so workers inherit it
     tasks = []
     for p_idx, policy in enumerate(config.policies):
         for rep in range(config.replicas):
@@ -200,9 +199,8 @@ def run_experiment(config, n_jobs=1):
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outputs = list(pool.map(_execute_run, tasks, chunksize=1))
-        if not config.output_dir:   # unread results come back without their problem
-            for run in outputs:
-                run.problem = _problem_cache(config)
+        for run in outputs:   # pickling dropped the problem; the losses are read here
+            run.problem = problem
     else:
         outputs = [_execute_run(t) for t in tasks]
 

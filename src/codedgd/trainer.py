@@ -75,7 +75,7 @@ class TrainResult:
     """One run's recovery output. The first read of `theta`, `train_losses()`
     or `test_losses()` runs the masked GD on `problem`, keeps theta_T and the
     losses, and drops `problem`. Pickling drops `problem` and runs no
-    optimizer, so an unread result needs `problem` set again once unpickled.
+    optimizer; `run_experiment` sets `problem` again on a pooled result.
     """
     config: TrainConfig
     records: np.recarray   # one row per iteration, see simulate_recovery

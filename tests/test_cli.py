@@ -125,7 +125,9 @@ def test_bad_config_value_exits_2(tmp_path):
                                        ("n_iterations = 0", "n_iterations"),
                                        ("profile = bogus", "profile"),
                                        ("n_workers = 1.5", "n_workers"),
-                                       ("seed = -1", "seed")],
+                                       ("seed = -1", "seed"),
+                                       ("policies = rcs,adaptive2,adaptive:2", "policies"),
+                                       ("policies = rcs,adaptivefoo", "policies")],
                          ids=["n_blocks", "replicas", "degrees", "mu", "alpha",
                               "alpha_straggler", "markov_mu_slow", "markov_p",
                               "unreachable_target", "no_workers", "a_th",
@@ -134,7 +136,8 @@ def test_bad_config_value_exits_2(tmp_path):
                               "alpha_inf", "alpha_straggler_inf", "duplicate_policy", "duplicate_adaptive",
                               "n_stragglers_negative", "n_stragglers_too_many", "eta",
                               "eta_unstable", "n_iterations", "profile_kind",
-                              "n_workers_float", "seed"])
+                              "n_workers_float", "seed", "adaptive_suffix",
+                              "adaptive_junk"])
 def test_invalid_config_fails_before_any_work(tmp_path, capsys, line, key):
     path = tmp_path / "bad.cfg"
     path.write_text(TINY_CONFIG + line + "\n")
@@ -154,6 +157,14 @@ def test_bad_jobs_fails_before_any_work(tmp_path, capsys, command, jobs):
     assert main([command, *args, "--jobs", jobs, "--out", str(out)]) == 2
     assert not out.exists()
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_exits_2(config_file, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", "--config", config_file, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert out.read_text() == ""
 
 
 def test_output_tree_does_not_depend_on_jobs(tmp_path):

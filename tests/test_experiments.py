@@ -245,14 +245,17 @@ def test_table1_grid_runs_no_optimizer(optimizer_calls):
     assert optimizer_calls == {}
 
 
-def test_pool_is_capped_at_the_task_count(monkeypatch, optimizer_calls):
-    # Records the pool size and runs the tasks inline, sending each result
-    # through pickle as a worker would: no process is started.
-    sizes = []
+def test_pool_is_capped_at_the_task_count(monkeypatch, optimizer_calls, tmp_path):
+    # Records the pool size, whether the problem was cached before the pool
+    # started, and the optimizer calls once `map` returns. The tasks run
+    # inline, each result sent through pickle as a worker would send it: no
+    # process is started.
+    sizes, cached, calls_after_map = [], [], []
 
     class InlinePool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
+            cached.append(bool(experiments._CACHED))
 
         def __enter__(self):
             return self
@@ -261,17 +264,33 @@ def test_pool_is_capped_at_the_task_count(monkeypatch, optimizer_calls):
             return False
 
         def map(self, fn, tasks, chunksize=1):
-            return (pickle.loads(pickle.dumps(fn(task))) for task in tasks)
+            results = [pickle.loads(pickle.dumps(fn(task))) for task in tasks]
+            calls_after_map.append(dict(optimizer_calls))
+            return iter(results)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
-    cfg = tiny_config(replicas=1)
-    pooled = run_experiment(cfg, n_jobs=64)
-    assert sizes == [3]   # 3 policies x 1 replica
-    assert optimizer_calls == {}
-    serial = run_experiment(cfg, n_jobs=1)
-    assert sizes == [3]
-    for name in serial.policy_names():
-        for a, b in zip(pooled.runs[name], serial.runs[name]):
-            assert a.records.tobytes() == b.records.tobytes()
-            assert a.train_losses().tobytes() == b.train_losses().tobytes()
-            assert a.test_losses().tobytes() == b.test_losses().tobytes()
+    for out in ("", str(tmp_path)):   # a sweep that writes no files, then one that does
+        for record in (sizes, cached, calls_after_map, optimizer_calls):
+            record.clear()
+        experiments._CACHED.clear()
+        dirs = {jobs: os.path.join(out, jobs) if out else "" for jobs in ("pooled", "serial")}
+        cfg = tiny_config(replicas=1)
+        pooled = run_experiment(replace(cfg, output_dir=dirs["pooled"]), n_jobs=64)
+        assert sizes == [3]   # 3 policies x 1 replica
+        assert cached == [True]
+        assert calls_after_map == [{}]   # the workers ran the recovery process only
+        if not out:
+            assert optimizer_calls == {}
+        serial = run_experiment(replace(cfg, output_dir=dirs["serial"]), n_jobs=1)
+        assert sizes == [3]
+        for name in serial.policy_names():
+            for a, b in zip(pooled.runs[name], serial.runs[name]):
+                assert a.records.tobytes() == b.records.tobytes()
+                assert a.train_losses().tobytes() == b.train_losses().tobytes()
+                assert a.test_losses().tobytes() == b.test_losses().tobytes()
+        if out:
+            trees = [{str(f.relative_to(tmp_path / jobs)): f.read_bytes()
+                      for f in (tmp_path / jobs).rglob("*") if f.is_file()}
+                     for jobs in ("pooled", "serial")]
+            assert len(trees[0]) == 3 + 3 * 4   # aggregates, then 4 files per policy replica
+            assert trees[0] == trees[1]

@@ -459,7 +459,7 @@ def per_iteration_recovery(config, assignment, rng):
         state = RecoveryState(k, config.q)
         for msg in order:
             state.ingest(masks[msg])
-            if state.is_complete():
+            if state.n_recovered >= state.target:
                 break
         arrived = order[:state.n_ingested]
         wall_time = times[arrived[-1]] if arrived else 0.0
