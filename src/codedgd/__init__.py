@@ -8,9 +8,9 @@ from .decoder import RecoveryState, block_mask, recovery_target
 from .experiments import (ExperimentConfig, PolicySpec, SweepResult,
                           emit_plotdata, preset_config, run_experiment,
                           table1_grid)
-from .latency import (LatencyParams, MarkovStragglerModel, StragglerProfile,
-                      completion_cdf, effective_params,
-                      sample_completion_times, step_markov, worker_params)
+from .latency import (MarkovStragglerModel, StragglerProfile, completion_cdf,
+                      completion_times, effective_params,
+                      sample_completion_times, step_markov)
 from .problem import ConfigurationError, RegressionProblem, generate_problem
 from .trainer import (TrainConfig, TrainResult, apply_partial_update, evaluate,
                       run_plain_gd, run_training, simulate_recovery)

@@ -62,13 +62,15 @@ def parse_config_file(path):
 
 
 def parse_q_list(text):
-    """Comma-separated tolerance levels of `table1 --q`, each in [0, 1)."""
+    """Comma-separated distinct tolerance levels of `table1 --q`, each in [0, 1)."""
     try:
         q_values = [float(x) for x in text.split(",")]
     except ValueError:
         raise ConfigurationError("--q must be comma-separated numbers, got %r" % text) from None
     if any(not 0 <= q < 1 for q in q_values):
         raise ConfigurationError("--q values must lie in [0, 1), got %r" % text)
+    if len(set(q_values)) < len(q_values):
+        raise ConfigurationError("--q values must be distinct, got %r" % text)
     return q_values
 
 
@@ -125,6 +127,8 @@ def _apply_overrides(config, args):
     if args.replicas is not None:
         config = replace(config, replicas=args.replicas)
     out = args.out if args.out is not None else (config.output_dir or _default_out())
+    if not out:
+        raise ConfigurationError("--out (or CODEDGD_OUT) must name a directory, got ''")
     return replace(config, output_dir=out)
 
 

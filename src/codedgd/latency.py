@@ -1,9 +1,11 @@
-"""Per-worker completion-time models.
+"""Per-worker completion-time model.
 
 A worker performing s identical block computations finishes the s-th one at
 T_s = s * (alpha + Y) with a single Y ~ Exp(mu) drawn per iteration, so the
 marginal law is P(T_s <= t) = 1 - exp(-mu (t/s - alpha)) for t >= s*alpha
-and send times are strictly increasing within an iteration.
+and send times are strictly increasing within an iteration. A straggler
+profile sets each worker's mu and alpha; `completion_times` draws a run's
+(T, N, L) times from it.
 """
 
 from dataclasses import dataclass, replace
@@ -13,29 +15,16 @@ import numpy as np
 from .problem import ConfigurationError
 
 
-@dataclass(frozen=True)
-class LatencyParams:
-    """Scalar mu and alpha for one worker, or arrays with one entry per worker."""
-
-    mu: float
-    alpha: float
-    n_messages: int
-
-    def __post_init__(self):
-        if np.any(self.mu <= 0) or np.any(self.alpha < 0):
-            raise ValueError("need mu > 0 and alpha >= 0")
-
-
-def sample_completion_times(params, rng):
+def sample_completion_times(mu, alpha, n_messages, rng):
     """Completion times T_1 < ... < T_L, one Y ~ Exp(mu) per entry of mu.
 
-    Scalar params give one worker's L times. Array params give `mu.shape + (L,)`
-    from one draw: N x L for per-worker arrays, T x N x L for `mu` broadcast to
-    (T, N). It takes the same values from `rng`, iteration by iteration and
-    worker by worker, as the scalar draws, and leaves it in the same state.
+    Scalars give one worker's L times; arrays give `mu.shape + (L,)` from one
+    draw, with the values and final `rng` state of scalar draws in C order.
     """
-    y = rng.exponential(1.0 / params.mu)
-    return np.multiply.outer(params.alpha + y, np.arange(1, params.n_messages + 1))
+    if np.any(mu <= 0) or np.any(alpha < 0):
+        raise ValueError("need mu > 0 and alpha >= 0")
+    y = rng.exponential(1.0 / mu)
+    return np.multiply.outer(alpha + y, np.arange(1, n_messages + 1))
 
 
 def completion_cdf(t, s, mu, alpha):
@@ -46,18 +35,14 @@ def completion_cdf(t, s, mu, alpha):
 
 @dataclass(frozen=True)
 class MarkovStragglerModel:
-    """Two-speed worker model; each worker flips state w.p. p per iteration."""
+    """Two-speed worker states; each worker flips state w.p. p per iteration."""
 
     p: float
-    mu_fast: float
-    mu_slow: float
     slow: np.ndarray   # boolean, True while the worker is in the slow state
 
     def __post_init__(self):
         if not 0 <= self.p <= 1:
             raise ValueError("p must be in [0, 1]")
-        if not self.mu_fast > self.mu_slow > 0:
-            raise ValueError("need mu_fast > mu_slow > 0")
 
 
 def step_markov(model, rng):
@@ -106,28 +91,35 @@ class StragglerProfile:
             return None
         slow = np.zeros(self.n_workers, dtype=bool)
         slow[list(self.initial_slow)] = True
-        return MarkovStragglerModel(self.p, self.mu, self.mu_slow, slow)
+        return MarkovStragglerModel(self.p, slow)
 
 
-def effective_params(profile, worker, n_messages, markov=None):
-    """Latency parameters of one worker for the current iteration."""
-    if not 0 <= worker < profile.n_workers:
-        raise ValueError("unknown worker id %d" % worker)
-    if profile.kind == "homogeneous":
-        return LatencyParams(profile.mu, profile.alpha, n_messages)
-    if profile.kind == "persistent":
-        alpha = profile.alpha_straggler if worker in profile.persistent_set else profile.alpha
-        return LatencyParams(profile.mu, alpha, n_messages)
-    mu = profile.mu_slow if markov.slow[worker] else profile.mu
-    return LatencyParams(mu, profile.alpha, n_messages)
-
-
-def worker_params(profile, n_workers, n_messages, markov=None):
-    """effective_params of workers 0..n_workers-1 at once, as per-worker arrays."""
+def effective_params(profile, n_workers, markov=None):
+    """(mu, alpha) of workers 0..n_workers-1 for the current iteration, one entry each."""
+    if n_workers > profile.n_workers:
+        raise ValueError("profile covers %d workers, fewer than %d"
+                         % (profile.n_workers, n_workers))
     mu = np.full(n_workers, profile.mu)
     alpha = np.full(n_workers, profile.alpha)
     if profile.kind == "persistent":
         alpha[[i for i in profile.persistent_set if i < n_workers]] = profile.alpha_straggler
     elif profile.kind == "markov":
         mu[markov.slow[:n_workers]] = profile.mu_slow
-    return LatencyParams(mu, alpha, n_messages)
+    return mu, alpha
+
+
+def completion_times(profile, n_iterations, n_workers, n_messages, rng):
+    """A run's (T, N, L) completion times, with the values and final `rng`
+    state of per-iteration, per-worker draws: one draw over a (T, N) mu for a
+    fixed profile, or a Markov step and a draw per iteration."""
+    markov = profile.initial_markov()
+    if markov is None:
+        mu, alpha = effective_params(profile, n_workers)
+        return sample_completion_times(np.broadcast_to(mu, (n_iterations, n_workers)),
+                                       alpha, n_messages, rng)
+    times = np.empty((n_iterations, n_workers, n_messages))
+    for row in times:
+        markov = step_markov(markov, rng)
+        row[:] = sample_completion_times(*effective_params(profile, n_workers, markov),
+                                         n_messages, rng)
+    return times

@@ -23,7 +23,7 @@ and each full buffer, plus the partial one at the end of the run, costs one
 boundaries depend on the iteration count alone.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,27 +167,15 @@ def simulate_recovery(config, assignment, rng):
 
     Returns the record table and the AgeTable. The table is a length-T
     `np.recarray` with one row per iteration: the recovery vector `r` (int8,
-    K), `shift_used`, `wall_time`, `n_ingested` and `recovered_count`. All
-    T iterations' completion times are drawn from `rng` before the loop, as
-    per-iteration draws would take them: one draw over a (T, N) scale for a
-    fixed profile, or a Markov step and a draw per iteration.
-    `assignment` is the read-only (M, N) block-index array of `codec.build_rcs`.
-    Only M distinct shifts exist, so each shift's codewords are encoded, and
-    range-checked into block masks, once.
+    K), `shift_used`, `wall_time`, `n_ingested` and `recovered_count`. All T
+    iterations' completion times come from one `latency.completion_times`
+    call before the loop. `assignment` is the read-only (M, N) block-index
+    array of `codec.build_rcs`. Only M distinct shifts exist, so each shift's
+    codewords are encoded, and range-checked into block masks, once.
     """
     k, n_workers, n_iter = config.n_blocks, config.n_workers, config.n_iterations
     n_messages = len(config.degrees)
-    markov = config.profile.initial_markov()
-    if markov is None:
-        params = latency.worker_params(config.profile, n_workers, n_messages)
-        times = latency.sample_completion_times(
-            replace(params, mu=np.broadcast_to(params.mu, (n_iter, n_workers))), rng)
-    else:
-        times = np.empty((n_iter, n_workers, n_messages))
-        for row in times:
-            markov = latency.step_markov(markov, rng)
-            row[:] = latency.sample_completion_times(
-                latency.worker_params(config.profile, n_workers, n_messages, markov), rng)
+    times = latency.completion_times(config.profile, n_iter, n_workers, n_messages, rng)
     # Stable on the worker-major flattening: equal times arrive in worker order.
     times = times.reshape(n_iter, -1)
     arrivals = np.argsort(times, axis=1, kind="stable").tolist()

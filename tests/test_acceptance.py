@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from codedgd import (LatencyParams, MarkovStragglerModel, OrderPolicy,
-                     StragglerProfile, TrainConfig, build_rcs,
-                     completion_cdf, encode, generate_problem, run_plain_gd,
-                     run_training, sample_completion_times, step_markov)
+from codedgd import (MarkovStragglerModel, OrderPolicy, StragglerProfile,
+                     TrainConfig, build_rcs, completion_cdf, encode,
+                     generate_problem, run_plain_gd, run_training,
+                     sample_completion_times, step_markov)
 from codedgd.experiments import preset_config, run_experiment, table1_grid
 from tests.test_decoder import (gaussian_recoverable, peel_fixpoint,
                                 random_rcs_equations)
@@ -139,8 +139,7 @@ def test_decoder_oracle_equivalence():
 
 def test_latency_law():
     rng = np.random.default_rng(12)
-    params = LatencyParams(mu=10.0, alpha=0.01, n_messages=3)
-    samples = np.array([sample_completion_times(params, rng) for _ in range(100_000)])
+    samples = sample_completion_times(np.full(100_000, 10.0), 0.01, 3, rng)
     ks_ok = True
     stats_txt = []
     for s in (1, 2, 3):
@@ -149,8 +148,7 @@ def test_latency_law():
         stats_txt.append("KS(s=%d)=%.4f" % (s, ks.statistic))
     flip_ok = True
     for p in (0.05, 0.5):
-        model = MarkovStragglerModel(p=p, mu_fast=10.0, mu_slow=2.0,
-                                     slow=np.zeros(1, dtype=bool))
+        model = MarkovStragglerModel(p=p, slow=np.zeros(1, dtype=bool))
         flips = 0
         n = 20_000
         for _ in range(n):

@@ -167,6 +167,17 @@ def test_out_naming_a_file_exits_2(config_file, tmp_path, capsys):
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_empty_out_exits_2_naming_out(config_file, monkeypatch, capsys, via):
+    args = ["run", "--config", config_file]
+    if via == "flag":
+        args += ["--out", ""]
+    else:
+        monkeypatch.setenv("CODEDGD_OUT", "")
+    assert main(args) == 2
+    assert "--out" in capsys.readouterr().err
+
+
 def test_output_tree_does_not_depend_on_jobs(tmp_path):
     # Two replicas over more than two loss-evaluation chunks, in one process and in the pool.
     path = tmp_path / "exp.cfg"
@@ -197,7 +208,7 @@ def test_run_summary_reports_exhausted_iterations(config_file, tmp_path, capsys)
     assert captured.err.count("warning") == 3
 
 
-@pytest.mark.parametrize("q", ["0.1,abc", "0.1,1.5"])
+@pytest.mark.parametrize("q", ["0.1,abc", "0.1,1.5", "0.1,0.1"])
 def test_table1_bad_q_fails_before_any_work(tmp_path, capsys, q):
     out = tmp_path / "t1"
     assert main(["table1", "--q", q, "--replicas", "1", "--out", str(out)]) == 2

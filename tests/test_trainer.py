@@ -439,7 +439,7 @@ def per_iteration_recovery(config, assignment, rng):
     n_messages = len(config.degrees)
     ages = AgeTable(k)
     markov = config.profile.initial_markov()
-    params = latency.worker_params(config.profile, n_workers, n_messages, markov)
+    params = latency.effective_params(config.profile, n_workers, markov)
     codewords = {}
     adaptive_shift = 0
     records = np.recarray(config.n_iterations, dtype=[
@@ -448,13 +448,13 @@ def per_iteration_recovery(config, assignment, rng):
     for t in range(1, config.n_iterations + 1):
         if markov is not None:
             markov = latency.step_markov(markov, rng)
-            params = latency.worker_params(config.profile, n_workers, n_messages, markov)
+            params = latency.effective_params(config.profile, n_workers, markov)
         shift = codec.shift_for_iteration(config.policy, t, config.memory, adaptive_shift)
         if shift not in codewords:
             codewords[shift] = [block_mask(members, k) for members in
                                 codec.encode(codec.apply_order(assignment, shift), config.degrees)]
         masks = codewords[shift]
-        times = latency.sample_completion_times(params, rng).ravel()
+        times = latency.sample_completion_times(*params, n_messages, rng).ravel()
         order = np.argsort(times, kind="stable").tolist()
         state = RecoveryState(k, config.q)
         for msg in order:
