@@ -13,7 +13,7 @@ from .latency import (MarkovStragglerModel, StragglerProfile, completion_cdf,
                       sample_completion_times, step_markov)
 from .problem import ConfigurationError, RegressionProblem, generate_problem
 from .trainer import (TrainConfig, TrainResult, apply_partial_update, evaluate,
-                      run_plain_gd, run_training, simulate_recovery)
+                      masked_gd, run_training, simulate_recovery)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -173,6 +173,10 @@ def main(argv=None):
                     print("warning: %s: %d of %d iterations used every message without "
                           "reaching the recovery target" % (name, exhausted, total),
                           file=sys.stderr)
+                unrecovered = sum(bool(run.never_recovered) for run in result.runs[name])
+                if unrecovered:
+                    print("warning: %s: %d of %d runs never recovered some block" % (
+                        name, unrecovered, config.replicas), file=sys.stderr)
             print("wrote %s" % config.output_dir)
     except Exception as exc:  # noqa: BLE001 - surfaced as exit code 3
         print("runtime error: %s" % exc, file=sys.stderr)

@@ -228,9 +228,10 @@ def write_raw_files(result, out_dir):
             ages_mod.write_summary_csv(run.ages, os.path.join(run_dir, "summary.csv"), cfg.a_th)
             with open(os.path.join(run_dir, "run_info.txt"), "w") as fh:
                 fh.write("policy=%s\nreplica=%d\nseed=%d\nmaster_seed=%d\n"
-                         "exhausted_iterations=%s\n" % (
-                             policy.name, rep, run_seed(cfg.seed, p_idx, rep),
-                             cfg.seed, ",".join(map(str, run.exhausted_iterations))))
+                         "exhausted_iterations=%s\nnever_recovered_blocks=%s\n" % (
+                             policy.name, rep, run_seed(cfg.seed, p_idx, rep), cfg.seed,
+                             ",".join(map(str, run.exhausted_iterations)),
+                             ",".join(map(str, run.never_recovered))))
 
 
 def emit_plotdata(result, out_dir):

@@ -47,8 +47,9 @@ def generate_problem(n_train, n_test, d, noise_std=0.0, seed=0):
         )
     rng = np.random.default_rng(seed)
     theta_star = rng.standard_normal(d)
-    X_train = rng.standard_normal((n_train, d)) / np.sqrt(n_train)
-    X_test = rng.standard_normal((n_test, d)) / np.sqrt(n_test)
+    X_train, X_test = rng.standard_normal((n_train, d)), rng.standard_normal((n_test, d))
+    X_train /= np.sqrt(n_train)   # in place: no second n x d array
+    X_test /= np.sqrt(n_test)
     y_train = X_train @ theta_star
     y_test = X_test @ theta_star
     if noise_std > 0:

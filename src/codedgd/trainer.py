@@ -9,10 +9,10 @@ arrival order until the tolerance target is met, and advances the age table.
 The run's record table (a length-T `np.recarray`, one row per iteration) gets
 the recovery vector r, the shift, the wall time and the message and block
 counts. `run_training` stops there, since ages and objectives need nothing
-else; a `TrainResult` runs the optimizer on the first read of its theta or
-losses. The optimizer is masked gradient descent over the table's r column:
-theta <- theta - eta * r (.) (W theta - b), with r repeated over the d/K
-coordinates of each block. Each step's W theta - b is one BLAS dsymv
+else; a `TrainResult` runs `masked_gd` on the first read of its theta or
+losses: gradient descent masked by the table's r column, theta <- theta -
+eta * r (.) (W theta - b), with r repeated over the d/K coordinates of each
+block; r = 1 throughout is plain GD. Each step's W theta - b is one BLAS dsymv
 (`problem.symv`), which reads one triangle of the symmetric W instead of all
 d^2 entries.
 
@@ -93,6 +93,11 @@ class TrainResult:
         return (np.flatnonzero(self.records.recovered_count < target) + 1).tolist()
 
     @property
+    def never_recovered(self):
+        """Blocks, counted from 1, that no iteration recovered."""
+        return (np.flatnonzero(~self.records.r.any(axis=0)) + 1).tolist()
+
+    @property
     def theta(self):
         return self._optimize()[0]
 
@@ -109,27 +114,33 @@ class TrainResult:
         if self._optimized is None:
             if self.problem is None:
                 raise ValueError("losses not computed before pickling: set result.problem")
-            p, n = self.problem, len(self.records)
-            theta, train, test = np.zeros(p.d), np.empty(n), np.empty(n)
-            chunk = np.empty((p.d, EVAL_CHUNK), order="F")   # theta_t in column t % EVAL_CHUNK
-            for t, r in enumerate(self.records.r):
-                theta = apply_partial_update(theta, r, p, self.config.eta)
-                col = t % EVAL_CHUNK
-                chunk[:, col] = theta
-                if col == EVAL_CHUNK - 1 or t == n - 1:
-                    train[t - col:t + 1], test[t - col:t + 1] = evaluate(chunk[:, :col + 1], p)
-            self._optimized, self.problem = (theta, train, test), None
+            self._optimized = masked_gd(self.problem, self.records.r, self.config.eta)
+            self.problem = None
         return self._optimized
+
+
+def masked_gd(problem, r, eta):
+    """theta_T and the losses of theta_1..theta_T of masked GD from theta_0 = 0,
+    one step per row of the T x K recovery matrix `r`; np.ones((T, 1)) is plain GD."""
+    theta, train, test = np.zeros(problem.d), np.empty(len(r)), np.empty(len(r))
+    chunk = np.empty((problem.d, EVAL_CHUNK), order="F")   # theta_t in column t % EVAL_CHUNK
+    for t, r_t in enumerate(r):
+        theta = apply_partial_update(theta, r_t, problem, eta)
+        col = t % EVAL_CHUNK
+        chunk[:, col] = theta
+        if col == EVAL_CHUNK - 1 or t == len(r) - 1:
+            train[t - col:t + 1], test[t - col:t + 1] = evaluate(chunk[:, :col + 1], problem)
+    return theta, train, test
 
 
 def evaluate(theta, problem):
     """Mean squared error (with the 1/2 factor) on the train and test splits.
 
     A 1-D `theta` gives two floats. A d x C matrix, one iterate per column,
-    gives two length-C arrays from one GEMM per split; TrainResult and
-    run_plain_gd evaluate their trajectories this way, EVAL_CHUNK iterates at
-    a time. A column may differ from the 1-D call in the last bits, because
-    GEMM and the mat-vec sum in different orders.
+    gives two length-C arrays from one GEMM per split; `masked_gd` evaluates
+    its trajectory this way, EVAL_CHUNK iterates at a time. A column may
+    differ from the 1-D call in the last bits, because GEMM and the mat-vec
+    sum in different orders.
     """
     losses = []
     for X, y in ((problem.X_train, problem.y_train), (problem.X_test, problem.y_test)):
@@ -146,20 +157,6 @@ def apply_partial_update(theta, r, problem, eta):
     The gradient W @ theta - b is one symmetric mat-vec (`problem.symv`).
     """
     return theta - eta * np.repeat(r, problem.d // len(r)) * symv(problem.W, theta, problem.b)
-
-
-def run_plain_gd(problem, eta, n_iterations):
-    """Uncoded full-gradient descent, the convergence baseline."""
-    theta = np.zeros(problem.d)
-    trajectory = [theta.copy()]
-    for _ in range(n_iterations):
-        theta = theta - eta * symv(problem.W, theta, problem.b)
-        trajectory.append(theta.copy())
-    losses = []
-    for start in range(1, n_iterations + 1, EVAL_CHUNK):
-        train, test = evaluate(np.column_stack(trajectory[start:start + EVAL_CHUNK]), problem)
-        losses.extend(zip(train.tolist(), test.tolist()))
-    return theta, trajectory, losses
 
 
 def simulate_recovery(config, assignment, rng):

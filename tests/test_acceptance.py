@@ -8,12 +8,13 @@ import pytest
 from scipy import stats
 
 from codedgd import (MarkovStragglerModel, OrderPolicy, StragglerProfile,
-                     TrainConfig, build_rcs, completion_cdf, encode,
-                     generate_problem, run_plain_gd, run_training,
+                     TrainConfig, build_rcs, completion_cdf, encode, evaluate,
+                     generate_problem, masked_gd, run_training,
                      sample_completion_times, step_markov)
 from codedgd.experiments import preset_config, run_experiment, table1_grid
 from tests.test_decoder import (gaussian_recoverable, peel_fixpoint,
                                 random_rcs_equations)
+from tests.test_problem import exact_gd
 
 REFERENCE_OBJECTIVES = {
     0.1: {"rcs": 0.0261, "rcs1": 0.0180, "adaptive2": 0.0156},
@@ -82,8 +83,8 @@ def test_fig6_uncoded_recovery():
                               for run in res.runs["adaptive1"]])
     problem = generate_problem(cfg.n_train, cfg.n_test, cfg.d, cfg.noise_std,
                                seed=cfg.seed)
-    _, _, losses = run_plain_gd(problem, cfg.eta, cfg.n_iterations)
-    baseline = losses[-1][1]
+    _, _, gd_test = masked_gd(problem, np.ones((cfg.n_iterations, 1), np.int8), cfg.eta)
+    baseline = gd_test[-1]
     adaptive_final = float(np.mean(res.final_test_losses("adaptive1")))
     ok = (any(n >= 1 for n in static_never)
           and adaptive_ages.max() <= 6
@@ -100,7 +101,8 @@ def test_exact_gd_oracle():
                          profile=StragglerProfile("homogeneous", 4, mu=10.0, alpha=0.01),
                          seed=7)
     result = run_training(problem, config)
-    _, trajectory, gd_losses = run_plain_gd(problem, eta=0.1, n_iterations=60)
+    trajectory = exact_gd(problem, eta=0.1, n_iterations=60)
+    gd_losses = [evaluate(theta, problem) for theta in trajectory]
     ok = all(np.all(rec.r == 1) for rec in result.records)
     worst = 0.0
     for train, test, (train_gd, test_gd) in zip(result.train_losses(), result.test_losses(),

@@ -196,7 +196,14 @@ def test_run_summary_reports_exhausted_iterations(config_file, tmp_path, capsys)
     assert main(["run", "--config", config_file, "--out", str(tmp_path / "ok")]) == 0
     captured = capsys.readouterr()
     assert captured.out.count("exhausted 0/40 iterations") == 3
-    assert "warning" not in captured.err
+    assert "used every message" not in captured.err
+    # adaptive2's second replica never recovers block 8
+    assert captured.err.count("never recovered") == 1
+    assert "warning: adaptive2: 1 of 2 runs never recovered some block" in captured.err
+    infos = [(tmp_path / "ok" / "adaptive2" / rep / "run_info.txt").read_text()
+             for rep in ("rep00", "rep01")]
+    assert [info.splitlines()[-1] for info in infos] == ["never_recovered_blocks=",
+                                                         "never_recovered_blocks=8"]
 
     # Degree-2 messages alone never peel: 6 messages reach the static bound
     # of 6 blocks, yet every iteration ends with nothing recovered.
@@ -205,7 +212,8 @@ def test_run_summary_reports_exhausted_iterations(config_file, tmp_path, capsys)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "stuck")]) == 0
     captured = capsys.readouterr()
     assert captured.out.count("exhausted 40/40 iterations") == 3
-    assert captured.err.count("warning") == 3
+    assert captured.err.count("used every message") == 3
+    assert captured.err.count("2 of 2 runs never recovered some block") == 3
 
 
 @pytest.mark.parametrize("q", ["0.1,abc", "0.1,1.5", "0.1,0.1"])

@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from codedgd import (ConfigurationError, ExperimentConfig, apply_partial_update,
-                     evaluate, generate_problem, run_plain_gd)
+                     evaluate, generate_problem)
 from codedgd import problem as problem_mod
 from codedgd.problem import RegressionProblem, largest_eigenvalue, symv
+
+
+def exact_gd(p, eta, n_iterations):
+    """theta_1, ..., theta_T of full-gradient descent from 0, with W @ theta - b:
+    the oracle for masked GD, sharing neither `symv` nor `masked_gd` with it."""
+    thetas = [np.zeros(p.d)]
+    for _ in range(n_iterations):
+        thetas.append(thetas[-1] - eta * (p.W @ thetas[-1] - p.b))
+    return thetas[1:]
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +40,7 @@ def test_gd_reaches_normal_equations_optimum(small_problem):
     p = small_problem
     theta_opt, *_ = np.linalg.lstsq(p.X_train, p.y_train, rcond=None)
     loss_opt, _ = evaluate(theta_opt, p)
-    theta, _, _ = run_plain_gd(p, eta=0.1, n_iterations=500)
-    loss_gd, _ = evaluate(theta, p)
+    loss_gd, _ = evaluate(exact_gd(p, eta=0.1, n_iterations=500)[-1], p)
     assert abs(loss_gd - loss_opt) < 1e-6
 
 
@@ -40,6 +48,14 @@ def test_determinism_under_seed():
     a = generate_problem(30, 5, 6, noise_std=0.2, seed=11)
     b = generate_problem(30, 5, 6, noise_std=0.2, seed=11)
     assert np.array_equal(a.W, b.W) and np.array_equal(a.y_test, b.y_test)
+
+
+def test_features_are_scaled_draws():
+    p = generate_problem(30, 7, 5, noise_std=0.2, seed=4)
+    rng = np.random.default_rng(4)
+    rng.standard_normal(5)   # theta_star
+    assert p.X_train.tobytes() == (rng.standard_normal((30, 5)) / np.sqrt(30)).tobytes()
+    assert p.X_test.tobytes() == (rng.standard_normal((7, 5)) / np.sqrt(7)).tobytes()
 
 
 def test_invalid_dimensions():

@@ -7,11 +7,12 @@ import pytest
 
 from codedgd import (ConfigurationError, OrderPolicy, StragglerProfile, TrainConfig,
                      apply_partial_update, build_rcs, codec, evaluate, generate_problem,
-                     latency, run_plain_gd, run_training, simulate_recovery)
+                     latency, masked_gd, run_training, simulate_recovery)
 from codedgd.ages import AgeTable
 from codedgd.decoder import RecoveryState, block_mask
 from codedgd.experiments import preset_config, run_seed
 from codedgd.trainer import EVAL_CHUNK, write_metrics_csv
+from tests.test_problem import exact_gd
 
 
 def make_config(**overrides):
@@ -31,13 +32,26 @@ def desk_problem():
 
 def test_zero_tolerance_matches_plain_gd(desk_problem):
     result = run_training(desk_problem, make_config())
-    _, trajectory, _ = run_plain_gd(desk_problem, eta=0.1, n_iterations=50)
+    trajectory = exact_gd(desk_problem, eta=0.1, n_iterations=50)
     assert all(np.all(rec.r == 1) for rec in result.records)
     # theta after the final iteration matches exact GD
     assert np.allclose(result.theta, trajectory[-1], rtol=1e-9, atol=1e-12)
     losses = result.train_losses()
-    gd_losses = [evaluate(th, desk_problem)[0] for th in trajectory[1:]]
+    gd_losses = [evaluate(th, desk_problem)[0] for th in trajectory]
     assert np.allclose(losses, gd_losses, rtol=1e-9)
+
+
+def test_masked_gd_with_every_block_recovered_is_exact_gd(desk_problem):
+    n_iterations = EVAL_CHUNK + 5
+    one_block = masked_gd(desk_problem, np.ones((n_iterations, 1), np.int8), 0.1)
+    four_blocks = masked_gd(desk_problem, np.ones((n_iterations, 4), np.int8), 0.1)
+    assert [a.tobytes() for a in one_block] == [a.tobytes() for a in four_blocks]
+    trajectory = exact_gd(desk_problem, eta=0.1, n_iterations=n_iterations)
+    gd_train, gd_test = np.array([evaluate(th, desk_problem) for th in trajectory]).T
+    theta, train, test = one_block
+    assert np.allclose(theta, trajectory[-1], rtol=1e-9, atol=0)
+    assert np.allclose(train, gd_train, rtol=1e-9, atol=0)
+    assert np.allclose(test, gd_test, rtol=1e-9, atol=0)
 
 
 def test_partial_update_full_recovery_is_gd_step(desk_problem):
@@ -158,6 +172,16 @@ def test_exhaustion_is_flagged_and_training_continues():
     result = run_training(problem, config)
     assert result.exhausted_iterations == [1, 2, 3]
     assert len(result.records) == 3
+
+
+def test_never_recovered_blocks_are_listed_from_1():
+    cfg = preset_config("fig3")
+    for policy in cfg.policies:
+        # no iteration is exhausted, yet every holder of blocks 30-32 is a persistent straggler
+        result = run_training(None, cfg.train_config(policy, run_seed(2, 0, 7)))
+        assert result.exhausted_iterations == [], policy.name
+        assert result.never_recovered == [30, 31, 32], policy.name
+    assert run_training(None, make_config(q=0.25)).never_recovered == []
 
 
 def per_record_metrics_csv(result):
